@@ -57,7 +57,6 @@ from .metric import (
     check_lower_bounds,
     check_symmetry,
     check_triangle,
-    phi_estimate,
     run_metric_suite,
 )
 from .presets import circular_two_body, shape_preset

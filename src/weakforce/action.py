@@ -6,12 +6,18 @@ A path from x to y is discretized as M+1 nodes on a uniform time grid over
     A_E = sum_k ||d_k||^2 / dt  +  dt * trapezoid(U)  +  E * T,
 
 with d_k the node differences and the weighted norm throughout. The kinetic
-term is exact for piecewise-linear paths and the trapezoid rule
-overestimates the potential term (each pair separation is convex along a
-straight segment and s -> s^(-alpha) is convex decreasing), so every
-discrete value respects the continuum lower bounds
+term is exact for piecewise-linear paths. Every discrete value respects the
+continuum lower bounds
 
     A_E >= E * T   and   A_E >= 2 sqrt(E) ||x - y||.
+
+The first holds because U > 0 makes the potential term positive. The second
+follows from Cauchy-Schwarz, sum ||d_k||^2 / dt >= (sum ||d_k||)^2 / T >=
+||x - y||^2 / T, and then AM-GM, ||x - y||^2 / T + E * T >= 2 sqrt(E) ||x - y||.
+The trapezoid rule can undershoot the exact potential integral (along a
+straight segment a pair's r^(-alpha) is concave near its closest approach),
+so the discrete value is not yet a certified upper bound on the exact action
+of the piecewise-linear path.
 
 Minimization is an inner/outer scheme: interior nodes by preconditioned
 L-BFGS at fixed T, then a bracketed golden-section search over T followed
@@ -28,18 +34,13 @@ import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from . import optimize
-from .configspace import (
-    min_separation,
-    pair_indices,
-    weighted_distance,
-    weighted_norm,
-)
+from .configspace import min_separation, weighted_distance, weighted_norm
 from .dynamics import (
     CollisionError,
     PotentialParams,
     acceleration,
+    pair_terms,
     potential,
-    potential_gradient,
     potential_hessian_vec,
 )
 
@@ -142,9 +143,33 @@ def maupertuis_lower_bound(x: np.ndarray, y: np.ndarray, masses: np.ndarray, ene
     return 2.0 * math.sqrt(energy) * weighted_distance(x, y, masses)
 
 
-def _node_potentials(nodes: np.ndarray, params: PotentialParams) -> np.ndarray:
-    u = potential(nodes, params)
-    return np.atleast_1d(u)
+def _value_grad_parts(
+    nodes: np.ndarray, total_time: float, energy: float, params: PotentialParams,
+    floor: float = 0.0,
+):
+    """The action evaluator: one pair-kernel pass over all nodes.
+
+    Returns (ActionValue, interior-node gradient, dA/dT, smallest squared
+    node-pair separation), or None when some node pair is closer than floor.
+    """
+    min_sq, u, du = pair_terms(nodes, params, floor)
+    if u is None:
+        return None
+    m_seg = nodes.shape[0] - 1
+    dt = total_time / m_seg
+    masses = params.masses
+    d = np.diff(nodes, axis=0)
+    kinetic = 0.5 * float(np.einsum("i,sic,sic->", masses, d, d)) / dt
+    pot = dt * float(u[0] / 2.0 + u[1:-1].sum() + u[-1] / 2.0)
+    e_term = energy * total_time
+    act = ActionValue(
+        value=kinetic + pot + e_term, kinetic=kinetic, potential=pot, energy_term=e_term
+    )
+
+    second = 2.0 * nodes[1:-1] - nodes[:-2] - nodes[2:]
+    grad = (masses[None, :, None] / dt) * second + dt * du[1:-1]
+    da_dt = (pot - kinetic) / total_time + energy
+    return act, grad, da_dt, min_sq
 
 
 def path_action(path: DiscretePath, energy: float, params: PotentialParams) -> ActionValue:
@@ -156,40 +181,14 @@ def path_action(path: DiscretePath, energy: float, params: PotentialParams) -> A
     """
     if energy <= 0.0:
         raise ValueError(f"energy must be positive, got {energy}")
-    dt = path.dt
-    d = np.diff(path.nodes, axis=0)
-    kinetic = 0.5 * float(np.einsum("i,sic,sic->", params.masses, d, d)) / dt
-    u = _node_potentials(path.nodes, params)
-    pot = dt * float(u[0] / 2.0 + u[1:-1].sum() + u[-1] / 2.0)
-    e_term = energy * path.total_time
-    return ActionValue(
-        value=kinetic + pot + e_term, kinetic=kinetic, potential=pot, energy_term=e_term
-    )
-
-
-def _value_grad_parts(nodes: np.ndarray, total_time: float, energy: float, params: PotentialParams):
-    """Action value, interior-node gradient, and dA/dT in one pass."""
-    m_seg = nodes.shape[0] - 1
-    dt = total_time / m_seg
-    masses = params.masses
-    d = np.diff(nodes, axis=0)
-    kinetic = 0.5 * float(np.einsum("i,sic,sic->", masses, d, d)) / dt
-    u = _node_potentials(nodes, params)
-    pot = dt * float(u[0] / 2.0 + u[1:-1].sum() + u[-1] / 2.0)
-    value = kinetic + pot + energy * total_time
-
-    du_interior = potential_gradient(nodes[1:-1], params)
-    second = 2.0 * nodes[1:-1] - nodes[:-2] - nodes[2:]
-    grad = (masses[None, :, None] / dt) * second + dt * du_interior
-    da_dt = (pot - kinetic) / total_time + energy
-    return value, grad, da_dt, kinetic, pot
+    return _value_grad_parts(path.nodes, path.total_time, energy, params)[0]
 
 
 def path_action_gradient(
     path: DiscretePath, energy: float, params: PotentialParams
 ) -> tuple[np.ndarray, float]:
     """Gradient of the action: (interior-node gradient of shape (M-1, N, n), dA/dT)."""
-    _, grad, da_dt, _, _ = _value_grad_parts(path.nodes, path.total_time, energy, params)
+    _, grad, da_dt, _ = _value_grad_parts(path.nodes, path.total_time, energy, params)
     return grad, da_dt
 
 
@@ -198,8 +197,7 @@ def energy_profile(path: DiscretePath, params: PotentialParams) -> np.ndarray:
     dt = path.dt
     v = (path.nodes[2:] - path.nodes[:-2]) / (2.0 * dt)
     kin = 0.5 * np.einsum("i,sic,sic->s", params.masses, v, v)
-    u = _node_potentials(path.nodes[1:-1], params)
-    return kin - u
+    return kin - potential(path.nodes[1:-1], params)
 
 
 def el_residual(path: DiscretePath, params: PotentialParams) -> float:
@@ -416,7 +414,7 @@ def _newton_polish(
     n_interior = nodes.shape[0] - 2
     shape = nodes[1:-1].shape
     best = nodes.copy()
-    _, grad, _, _, _ = _value_grad_parts(best, total_time, energy, params)
+    _, grad, _, _ = _value_grad_parts(best, total_time, energy, params)
     gnorm = float(np.linalg.norm(grad.ravel()))
     for _ in range(settings.newton_polish):
         if gnorm == 0.0:
@@ -435,7 +433,7 @@ def _newton_polish(
             trial = best.copy()
             trial[1:-1] = best[1:-1] + alpha * step.reshape(shape)
             if _nodes_min_sep(trial) > floor:
-                _, tgrad, _, _, _ = _value_grad_parts(trial, total_time, energy, params)
+                _, tgrad, _, _ = _value_grad_parts(trial, total_time, energy, params)
                 tnorm = float(np.linalg.norm(tgrad.ravel()))
                 if tnorm < gnorm:
                     best, grad, gnorm = trial, tgrad, tnorm
@@ -459,7 +457,6 @@ def _solve_interior(
     m_plus_1, n_bodies, dim = nodes0.shape
     n_interior = m_plus_1 - 2
     dt = total_time / (m_plus_1 - 1)
-    i, j = pair_indices(n_bodies)
     endpoints = (nodes0[0].copy(), nodes0[-1].copy())
     template = nodes0.copy()
 
@@ -468,13 +465,10 @@ def _solve_interior(
         return template
 
     def fun_grad(z):
-        nodes = assemble(z)
-        rel = nodes[:, i, :] - nodes[:, j, :]
-        dist2 = np.einsum("kpc,kpc->kp", rel, rel)
-        if dist2.min() < floor * floor:
+        parts = _value_grad_parts(assemble(z), total_time, energy, params, floor)
+        if parts is None:
             return math.inf, None
-        value, grad, _, _, _ = _value_grad_parts(nodes, total_time, energy, params)
-        return value, grad.ravel()
+        return parts[0].value, parts[1].ravel()
 
     apply_h0 = _kinetic_preconditioner(n_interior, n_bodies, dim, dt, params.masses)
     outcome = optimize.lbfgs(
@@ -501,9 +495,7 @@ def _assemble_result(
     nodes, total_time, energy, params, outcome, status, degenerate=False, restart_index=0
 ) -> MinimizeResult:
     path = DiscretePath(total_time, nodes)
-    act = path_action(path, energy, params)
-    _, _, da_dt, _, _ = _value_grad_parts(nodes, total_time, energy, params)
-    prof = energy_profile(path, params)
+    act, _, da_dt, min_sq = _value_grad_parts(path.nodes, total_time, energy, params)
     return MinimizeResult(
         path=path,
         action=act,
@@ -511,10 +503,10 @@ def _assemble_result(
         status=status,
         grad_norm=outcome.grad_norm,
         iterations=outcome.iterations,
-        energy_profile=prof,
+        energy_profile=energy_profile(path, params),
         el_residual=el_residual(path, params),
         dA_dT=da_dt,
-        min_sep=float(min_separation(path.nodes).min()),
+        min_sep=math.sqrt(min_sq),
         degenerate=degenerate,
         restart_index=restart_index,
     )
@@ -675,8 +667,7 @@ def _free_time_single(
 
     def value_at(total_time: float) -> float:
         nodes, _ = solve_at(total_time)
-        value, _, _, _, _ = _value_grad_parts(nodes, total_time, energy, params)
-        return value
+        return _value_grad_parts(nodes, total_time, energy, params)[0].value
 
     lo, mid, hi = 0.5 * t_guess, t_guess, 2.0 * t_guess
     lo = max(lo, settings.time_floor)

@@ -56,7 +56,6 @@ _CONFIG_KEYS = {
     "time_floor": float,
     "rtol": float,
     "atol": float,
-    "threads": int,
     "output_dir": str,
     "masses": "floats",
 }
@@ -141,13 +140,6 @@ def _load_endpoint(text: str) -> np.ndarray:
     return read_configuration_csv(text)
 
 
-def _apply_threads(n: int | None) -> None:
-    # best effort: honored by BLAS pools spawned after this point
-    if n is not None and n >= 1:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
-
-
 def _path_as_trajectory(result, params: PotentialParams) -> Trajectory:
     """Repackage a minimizer path as a trajectory with FD velocities."""
     path = result.path
@@ -157,14 +149,7 @@ def _path_as_trajectory(result, params: PotentialParams) -> Trajectory:
     v[1:-1] = (nodes[2:] - nodes[:-2]) / (2.0 * dt)
     v[0] = (nodes[1] - nodes[0]) / dt
     v[-1] = (nodes[-1] - nodes[-2]) / dt
-    from .dynamics import _diagnostics
-
-    energy, e_drift, p_drift, l_drift = _diagnostics(path.times, nodes, v, params)
-    return Trajectory(
-        times=path.times, positions=nodes, velocities=v, energy=energy,
-        energy_drift=e_drift, momentum_drift=p_drift,
-        angular_momentum_drift=l_drift, n_steps=path.n_segments,
-    )
+    return Trajectory.from_samples(path.times, nodes, v, params)
 
 
 def _minimize_report_text(result, energy: float, params: PotentialParams) -> str:
@@ -201,7 +186,6 @@ def _solver_settings(args, config: dict) -> SolverSettings:
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config)
-    _apply_threads(_setting(args, config, "threads", None))
     out = _output_dir(args, config)
     alpha = _setting(args, config, "alpha", 0.5)
     masses = _parse_masses(_setting(args, config, "masses", (1.0, 1.0)))
@@ -248,7 +232,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_minimize(args, free_time: bool | None = None) -> int:
     config = _load_config(args.config)
-    _apply_threads(_setting(args, config, "threads", None))
     out = _output_dir(args, config)
     alpha = _setting(args, config, "alpha", 0.5)
     energy = _setting(args, config, "energy", 1.0)
@@ -294,7 +277,6 @@ def _cmd_phi(args) -> int:
 
 def _cmd_metric_suite(args) -> int:
     config = _load_config(args.config)
-    _apply_threads(_setting(args, config, "threads", None))
     out = _output_dir(args, config)
     masses = _setting(args, config, "masses", None)
     cfg = MetricSuiteConfig(
@@ -318,7 +300,6 @@ def _cmd_metric_suite(args) -> int:
 
 def _cmd_hyperbolic(args) -> int:
     config = _load_config(args.config)
-    _apply_threads(_setting(args, config, "threads", None))
     out = _output_dir(args, config)
     alpha = _setting(args, config, "alpha", 0.5)
     energy = _setting(args, config, "energy", 1.0)
@@ -361,7 +342,6 @@ def _cmd_hyperbolic(args) -> int:
 
 def _cmd_validate_geometry(args) -> int:
     config = _load_config(args.config)
-    _apply_threads(_setting(args, config, "threads", None))
     out = _output_dir(args, config)
     cfg = SuiteConfig(
         seed=_setting(args, config, "seed", 0),
@@ -391,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, help="force exponent in (0, 1)")
         p.add_argument("--energy", type=float, help="energy level E > 0")
         p.add_argument("--masses", help="comma-separated masses")
-        p.add_argument("--threads", type=int, help="BLAS thread cap (best effort)")
 
     p = sub.add_parser("simulate", help="integrate the equations of motion")
     common(p)

@@ -34,8 +34,6 @@ __all__ = [
     "is_collision_free",
     "normalize_to_sphere",
     "angle",
-    "segment_point",
-    "ray_point",
 ]
 
 
@@ -103,9 +101,21 @@ def weighted_distance(x: np.ndarray, y: np.ndarray, masses: np.ndarray) -> float
     return weighted_norm(x - y, masses)
 
 
+_PAIR_INDICES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
 def pair_indices(n_bodies: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j) enumerating the N(N-1)/2 unordered body pairs."""
-    return np.triu_indices(n_bodies, k=1)
+    """Index arrays (i, j) enumerating the N(N-1)/2 unordered body pairs.
+
+    Built once per body count and shared by every caller, so both are
+    read-only views of one read-only array.
+    """
+    pairs = _PAIR_INDICES.get(n_bodies)
+    if pairs is None:
+        both = np.stack(np.triu_indices(n_bodies, k=1))
+        both.setflags(write=False)
+        pairs = _PAIR_INDICES[n_bodies] = (both[0], both[1])
+    return pairs
 
 
 def pair_distances(x: np.ndarray) -> np.ndarray:
@@ -164,16 +174,3 @@ def angle(x: np.ndarray, y: np.ndarray, masses: np.ndarray) -> float:
     c = weighted_inner(x, y, masses) / (nx * ny)
     return math.acos(min(1.0, max(-1.0, c)))
 
-
-def segment_point(x: np.ndarray, y: np.ndarray, s: float) -> np.ndarray:
-    """Point x + s (y - x) on the closed segment, s in [0, 1]."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"segment parameter must lie in [0, 1], got {s}")
-    return x + s * (y - x)
-
-
-def ray_point(x: np.ndarray, direction: np.ndarray, t: float) -> np.ndarray:
-    """Point x + t * direction on the ray from x, t >= 0."""
-    if t < 0.0:
-        raise ValueError(f"ray parameter must be >= 0, got {t}")
-    return x + t * direction

@@ -19,12 +19,13 @@ fixed-step leapfrog used as an independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .configspace import mass_vector, pair_indices, weighted_norm
+from .configspace import mass_vector, min_separation, pair_indices, weighted_norm
 
 __all__ = [
     "CollisionError",
@@ -33,6 +34,7 @@ __all__ = [
     "PhasePoint",
     "ToleranceSettings",
     "Trajectory",
+    "pair_terms",
     "potential",
     "potential_gradient",
     "acceleration",
@@ -104,33 +106,61 @@ class PhasePoint:
 
 
 def _pair_geometry(x: np.ndarray, params: PotentialParams):
-    """Relative vectors and distances for all pairs; raises at collisions."""
+    """Relative vectors x_i - x_j and squared separations for all pairs."""
     i, j = pair_indices(params.n_bodies)
     rel = np.take(x, i, axis=-2) - np.take(x, j, axis=-2)
-    dist = np.sqrt(np.einsum("...pk,...pk->...p", rel, rel))
-    if np.any(dist == 0.0):
+    return rel, np.einsum("...pk,...pk->...p", rel, rel)
+
+
+def _separations(dist2: np.ndarray) -> np.ndarray:
+    if np.any(dist2 == 0.0):
         raise CollisionError("configuration has two bodies at the same point")
-    return i, j, rel, dist
+    return np.sqrt(dist2)
+
+
+def _scatter(pair_vectors: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Sum per-pair vectors onto bodies: +c_p at body i, -c_p at body j."""
+    out = np.zeros_like(like)
+    for p, (a, b) in enumerate(zip(*pair_indices(like.shape[-2]))):
+        out[..., a, :] += pair_vectors[..., p, :]
+        out[..., b, :] -= pair_vectors[..., p, :]
+    return out
+
+
+def pair_terms(x: np.ndarray, params: PotentialParams, floor: float = 0.0, gradient: bool = True):
+    """The pair kernel: (smallest squared separation, U, dU/dx) in one pass.
+
+    Accepts (N, n) or a batch (..., N, n); U then has the batch shape and
+    dU/dx the shape of x (None unless ``gradient``). The smallest squared
+    separation is taken over the whole batch. When it is below floor**2
+    the call stops there and returns it with U and dU/dx as None, so a
+    caller can veto a configuration before any power is taken.
+
+    Raises:
+        CollisionError: If two bodies coincide and the floor did not veto.
+    """
+    rel, dist2 = _pair_geometry(x, params)
+    min_sq = float(dist2.min(initial=math.inf))
+    if min_sq < floor * floor:
+        return min_sq, None, None
+    dist = _separations(dist2)
+    u = np.einsum("p,...p->...", params.pair_products, dist ** -params.alpha)
+    if not gradient:
+        return min_sq, u, None
+    # dU/dx_i picks up -alpha m_i m_j (x_i - x_j)/d^(alpha+2) from pair (i, j).
+    w = -params.alpha * params.pair_products * dist ** -(params.alpha + 2.0)
+    return min_sq, u, _scatter(w[..., None] * rel, x)
 
 
 def potential(x: np.ndarray, params: PotentialParams):
     """U(x). Accepts (N, n) or a batch (..., N, n); scalar in, scalar out."""
-    _, _, _, dist = _pair_geometry(x, params)
-    u = np.einsum("p,...p->...", params.pair_products, dist ** -params.alpha)
+    _, u, _ = pair_terms(x, params, gradient=False)
     return float(u) if np.ndim(u) == 0 else u
 
 
 def potential_gradient(x: np.ndarray, params: PotentialParams) -> np.ndarray:
     """dU/dx, shaped like x. Batched along leading axes."""
-    i, j, rel, dist = _pair_geometry(x, params)
-    # dU/dx_i picks up -alpha m_i m_j (x_i - x_j)/d^(alpha+2) from pair (i, j).
-    w = -params.alpha * params.pair_products * dist ** -(params.alpha + 2.0)
-    contrib = w[..., None] * rel
-    grad = np.zeros_like(x)
-    for p, (a, b) in enumerate(zip(*pair_indices(params.n_bodies))):
-        grad[..., a, :] += contrib[..., p, :]
-        grad[..., b, :] -= contrib[..., p, :]
-    return grad
+    return pair_terms(x, params)[2]
 
 
 def acceleration(x: np.ndarray, params: PotentialParams) -> np.ndarray:
@@ -145,19 +175,16 @@ def potential_hessian_vec(x: np.ndarray, vec: np.ndarray, params: PotentialParam
     is m_i m_j (-alpha d^-(alpha+2) w + alpha (alpha+2) d^-(alpha+4) (r.w) r)
     applied with opposite signs at i and j.
     """
-    i, j, rel, dist = _pair_geometry(x, params)
+    i, j = pair_indices(params.n_bodies)
+    rel, dist2 = _pair_geometry(x, params)
+    dist = _separations(dist2)
     w = np.take(vec, i, axis=-2) - np.take(vec, j, axis=-2)
     a = params.alpha
     c = params.pair_products
     rw = np.einsum("...pk,...pk->...p", rel, w)
     coef1 = -a * c * dist ** -(a + 2.0)
     coef2 = a * (a + 2.0) * c * dist ** -(a + 4.0) * rw
-    block = coef1[..., None] * w + coef2[..., None] * rel
-    out = np.zeros_like(x)
-    for p, (bi, bj) in enumerate(zip(i, j)):
-        out[..., bi, :] += block[..., p, :]
-        out[..., bj, :] -= block[..., p, :]
-    return out
+    return _scatter(coef1[..., None] * w + coef2[..., None] * rel, x)
 
 
 def kinetic_energy(velocities: np.ndarray, masses: np.ndarray) -> float:
@@ -229,26 +256,47 @@ class Trajectory:
     def final_state(self) -> PhasePoint:
         return PhasePoint(self.positions[-1], self.velocities[-1])
 
+    @classmethod
+    def from_samples(
+        cls,
+        times: np.ndarray,
+        positions: np.ndarray,
+        velocities: np.ndarray,
+        params: PotentialParams,
+        halted: bool = False,
+        halt_reason: str | None = None,
+    ) -> "Trajectory":
+        """Package samples of shape (T, N, n) with their conservation diagnostics."""
+        m = params.masses
+        kin = 0.5 * np.einsum("i,tik,tik->t", m, velocities, velocities)
+        # einsum sums a pair-major array pair by pair, each product rounded;
+        # the contiguous sum in pair_terms accumulates in another order and
+        # can differ in the last bit. The trajectory files keep this order.
+        _, dist2 = _pair_geometry(positions, params)
+        pair_major = np.asfortranarray(np.sqrt(dist2) ** -params.alpha)
+        energy = kin - np.einsum("p,tp->t", params.pair_products, pair_major)
+        e_scale = max(abs(energy[0]), 1e-30)
+        e_drift = np.abs(energy - energy[0]) / e_scale
 
-def _diagnostics(times, xs, vs, params: PotentialParams):
-    m = params.masses
-    kin = 0.5 * np.einsum("i,tik,tik->t", m, vs, vs)
-    i, j = pair_indices(params.n_bodies)
-    rel = xs[:, i, :] - xs[:, j, :]
-    dist = np.sqrt(np.einsum("tpk,tpk->tp", rel, rel))
-    pot = np.einsum("p,tp->t", params.pair_products, dist ** -params.alpha)
-    energy = kin - pot
-    e_scale = max(abs(energy[0]), 1e-30)
-    e_drift = np.abs(energy - energy[0]) / e_scale
+        mom = np.einsum("i,tik->tk", m, velocities)
+        p_scale = max(1.0, float(np.abs(m[:, None] * velocities[0]).sum()))
+        p_drift = np.linalg.norm(mom - mom[0], axis=1) / p_scale
 
-    mom = np.einsum("i,tik->tk", m, vs)
-    p_scale = max(1.0, float(np.abs(m[:, None] * vs[0]).sum()))
-    p_drift = np.linalg.norm(mom - mom[0], axis=1) / p_scale
-
-    mixed = np.einsum("i,tij,tik->tjk", m, xs, vs)
-    ang = mixed - np.swapaxes(mixed, 1, 2)
-    l_drift = np.linalg.norm((ang - ang[0]).reshape(len(times), -1), axis=1) / p_scale
-    return energy, e_drift, p_drift, l_drift
+        mixed = np.einsum("i,tij,tik->tjk", m, positions, velocities)
+        ang = mixed - np.swapaxes(mixed, 1, 2)
+        l_drift = np.linalg.norm((ang - ang[0]).reshape(len(times), -1), axis=1) / p_scale
+        return cls(
+            times=times,
+            positions=positions,
+            velocities=velocities,
+            energy=energy,
+            energy_drift=e_drift,
+            momentum_drift=p_drift,
+            angular_momentum_drift=l_drift,
+            halted=halted,
+            halt_reason=halt_reason,
+            n_steps=max(0, len(times) - 1),
+        )
 
 
 def integrate(
@@ -284,8 +332,7 @@ def integrate(
     n_bodies, dim = x0.shape
     if n_bodies != params.n_bodies:
         raise ValueError(f"state has {n_bodies} bodies but params has {params.n_bodies}")
-    i, j = pair_indices(n_bodies)
-    r0 = float(np.sqrt(((x0[i] - x0[j]) ** 2).sum(axis=1)).min())
+    r0 = min_separation(x0)
     eps = settings.collision_eps if settings.collision_eps is not None else 1e-8 * r0
     if r0 <= eps:
         raise CollisionError(
@@ -306,8 +353,7 @@ def integrate(
         return np.concatenate([y[size:], a.ravel()])
 
     def close_approach(t, y):
-        x = y[:size].reshape(n_bodies, dim)
-        return float(np.sqrt(((x[i] - x[j]) ** 2).sum(axis=1)).min()) - eps
+        return min_separation(y[:size].reshape(n_bodies, dim)) - eps
 
     close_approach.terminal = True
     close_approach.direction = -1
@@ -336,22 +382,15 @@ def integrate(
         # with t_eval the event time itself is not in sol.t; append it
         times = np.append(times, sol.t_events[0][0])
         ys = np.vstack([ys, sol.y_events[0][0]])
-    xs = ys[:, :size].reshape(-1, n_bodies, dim)
-    vs = ys[:, size:].reshape(-1, n_bodies, dim)
-    energy, e_drift, p_drift, l_drift = _diagnostics(times, xs, vs, params)
-    return Trajectory(
-        times=times,
-        positions=xs,
-        velocities=vs,
-        energy=energy,
-        energy_drift=e_drift,
-        momentum_drift=p_drift,
-        angular_momentum_drift=l_drift,
+    return Trajectory.from_samples(
+        times,
+        ys[:, :size].reshape(-1, n_bodies, dim),
+        ys[:, size:].reshape(-1, n_bodies, dim),
+        params,
         halted=halted,
         halt_reason=(
             f"close approach: minimum separation reached {eps:.6e}" if halted else None
         ),
-        n_steps=max(0, times.size - 1),
     )
 
 
@@ -372,9 +411,7 @@ def integrate_leapfrog(
         raise ValueError("t_end and dt must be positive")
     x = state.positions.copy()
     v = state.velocities.copy()
-    n_bodies, dim = x.shape
-    i, j = pair_indices(n_bodies)
-    r0 = float(np.sqrt(((x[i] - x[j]) ** 2).sum(axis=1)).min())
+    r0 = min_separation(x)
     eps = collision_eps if collision_eps is not None else 1e-8 * r0
     if r0 <= eps:
         raise CollisionError("initial state is at/below the collision threshold")
@@ -388,8 +425,7 @@ def integrate_leapfrog(
     for k in range(1, n_total + 1):
         v_half = v + 0.5 * dt * a
         x = x + dt * v_half
-        r = float(np.sqrt(((x[i] - x[j]) ** 2).sum(axis=1)).min())
-        if r <= eps:
+        if min_separation(x) <= eps:
             halted = True
             break
         a = acceleration(x, params)
@@ -399,19 +435,11 @@ def integrate_leapfrog(
             xs.append(x.copy())
             vs.append(v.copy())
 
-    times_arr = np.asarray(times)
-    xs_arr = np.asarray(xs)
-    vs_arr = np.asarray(vs)
-    energy, e_drift, p_drift, l_drift = _diagnostics(times_arr, xs_arr, vs_arr, params)
-    return Trajectory(
-        times=times_arr,
-        positions=xs_arr,
-        velocities=vs_arr,
-        energy=energy,
-        energy_drift=e_drift,
-        momentum_drift=p_drift,
-        angular_momentum_drift=l_drift,
+    return Trajectory.from_samples(
+        np.asarray(times),
+        np.asarray(xs),
+        np.asarray(vs),
+        params,
         halted=halted,
         halt_reason="close approach during leapfrog step" if halted else None,
-        n_steps=len(times) - 1,
     )

@@ -212,8 +212,9 @@ def construct(
             t_est = t_prev + (dists[k] - dists[k - 1]) / sqrt_e
             m_k = min(max_segments, max(n_segments, int(round(t_est / dt_spacing))))
             init = _warm_nodes(legs[-1].path, target, t_est, m_k)
-        result = _leg_minimize(
-            x0, target, energy, params, m_k, settings, restarts, rng, init
+        result = minimize_free_time(
+            x0, target, energy, params,
+            n_segments=m_k, settings=settings, restarts=restarts, rng=rng, init_nodes=init,
         )
         if result.converged:
             result = _polish_leg(result, x0, target, energy, params, polish_settings)
@@ -234,13 +235,6 @@ def construct(
         legs=tuple(legs),
         completed=completed,
         base_segments=n_segments,
-    )
-
-
-def _leg_minimize(x0, target, energy, params, m_k, settings, restarts, rng, init):
-    return minimize_free_time(
-        x0, target, energy, params,
-        n_segments=m_k, settings=settings, restarts=restarts, rng=rng, init_nodes=init,
     )
 
 

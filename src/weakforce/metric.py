@@ -22,7 +22,6 @@ from .seeding import substream
 
 __all__ = [
     "VALUE_RTOL",
-    "phi_estimate",
     "check_symmetry",
     "check_triangle",
     "check_lower_bounds",
@@ -41,23 +40,6 @@ __all__ = [
 VALUE_RTOL = 1e-4
 
 
-def phi_estimate(
-    x: np.ndarray,
-    y: np.ndarray,
-    energy: float,
-    params: PotentialParams,
-    n_segments: int = 200,
-    settings: SolverSettings | None = None,
-    restarts: int = 1,
-    rng: np.random.Generator | None = None,
-) -> MinimizeResult:
-    """Upper-bound estimate of phi_E(x, y); thin wrapper over the minimizer."""
-    return minimize_free_time(
-        x, y, energy, params,
-        n_segments=n_segments, settings=settings, restarts=restarts, rng=rng,
-    )
-
-
 @dataclass(frozen=True)
 class SymmetryCheck:
     forward: MinimizeResult
@@ -71,8 +53,8 @@ class SymmetryCheck:
 
 def check_symmetry(x, y, energy, params, **kwargs) -> SymmetryCheck:
     """Estimate phi in both directions and compare."""
-    fwd = phi_estimate(x, y, energy, params, **kwargs)
-    bwd = phi_estimate(y, x, energy, params, **kwargs)
+    fwd = minimize_free_time(x, y, energy, params, **kwargs)
+    bwd = minimize_free_time(y, x, energy, params, **kwargs)
     mismatch = abs(fwd.value - bwd.value) / (1.0 + abs(fwd.value))
     return SymmetryCheck(forward=fwd, backward=bwd, mismatch=mismatch)
 
@@ -95,9 +77,9 @@ class TriangleCheck:
 
 def check_triangle(x, y, z, energy, params, **kwargs) -> TriangleCheck:
     """Check phi(x,z) <= phi(x,y) + phi(y,z) on one triple."""
-    xy = phi_estimate(x, y, energy, params, **kwargs)
-    yz = phi_estimate(y, z, energy, params, **kwargs)
-    xz = phi_estimate(x, z, energy, params, **kwargs)
+    xy = minimize_free_time(x, y, energy, params, **kwargs)
+    yz = minimize_free_time(y, z, energy, params, **kwargs)
+    xz = minimize_free_time(x, z, energy, params, **kwargs)
     return TriangleCheck(
         leg_xy=xy, leg_yz=yz, leg_xz=xz, margin=xy.value + yz.value - xz.value
     )
@@ -264,7 +246,7 @@ def run_metric_suite(cfg: MetricSuiteConfig) -> MetricSuiteReport:
             bound_failures += 1
             replay.append(("metric-pair-bounds", k))
 
-        hi = phi_estimate(
+        hi = minimize_free_time(
             x, y, 2.0 * cfg.energy, params,
             n_segments=cfg.n_segments, settings=settings, restarts=cfg.restarts,
         )

@@ -69,6 +69,16 @@ def test_parse_config_text_rejects_malformed_line():
         parse_config_text("alpha = fast\n")
 
 
+def test_thread_knob_is_gone():
+    # BLAS reads its thread count once, when numpy loads; set
+    # OPENBLAS_NUM_THREADS / OMP_NUM_THREADS before the process starts
+    with pytest.raises(ValueError, match="line 2: unknown key 'threads'"):
+        parse_config_text("alpha = 0.5\nthreads = 2\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("phi", "--threads", "2", f"--start={PAIR_START}", f"--end={PAIR_END}")
+    assert exc.value.code == 2
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code = run_cli(
         "simulate", "--config", str(tmp_path / "absent.cfg"),

@@ -13,8 +13,7 @@ from weakforce.configspace import (
     min_separation,
     normalize_to_sphere,
     pair_distances,
-    ray_point,
-    segment_point,
+    pair_indices,
     weighted_distance,
     weighted_inner,
     weighted_norm,
@@ -118,6 +117,22 @@ def test_pair_distances_order():
     npt.assert_allclose(pair_distances(x), [3.0, 5.0, 4.0])
 
 
+def test_pair_indices_cached_and_read_only():
+    i, j = pair_indices(4)
+    assert pair_indices(4)[0] is i and pair_indices(4)[1] is j
+    npt.assert_array_equal(i, [0, 0, 0, 1, 1, 2])
+    npt.assert_array_equal(j, [1, 2, 3, 2, 3, 3])
+    with pytest.raises(ValueError):
+        i[0] = 3
+    with pytest.raises(ValueError):
+        j[:] = 0
+    with pytest.raises(ValueError):
+        i.setflags(write=True)
+    # the failed writes left the shared indices, and every kernel, intact
+    x = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0], [0.0, 4.0]])
+    npt.assert_allclose(pair_distances(x), [3.0, 5.0, 4.0, 4.0, 5.0, 3.0])
+
+
 def test_is_collision_free():
     x = np.array([[0.0, 0.0], [1.0, 0.0]])
     assert is_collision_free(x, 0.0)
@@ -188,13 +203,3 @@ def test_norm_triangle_inequality_bulk():
     slack = norm_x + norm_y - sum_norm
     assert np.all(slack >= -1e-12 * (norm_x + norm_y))
 
-
-def test_segment_and_ray_evaluators():
-    x = np.array([[0.0, 0.0], [2.0, 0.0]])
-    y = np.array([[0.0, 2.0], [2.0, 2.0]])
-    npt.assert_allclose(segment_point(x, y, 0.0), x)
-    npt.assert_allclose(segment_point(x, y, 1.0), y)
-    npt.assert_allclose(segment_point(x, y, 0.5), (x + y) / 2.0)
-    a = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    npt.assert_allclose(ray_point(x, a, 0.0), x)
-    npt.assert_allclose(ray_point(x, a, 3.0), x + 3.0 * a)

@@ -16,6 +16,7 @@ from weakforce.dynamics import (
     integrate_leapfrog,
     kinetic_energy,
     lagrangian,
+    pair_terms,
     potential,
     potential_gradient,
     potential_hessian_vec,
@@ -44,6 +45,23 @@ def test_potential_examples():
     npt.assert_allclose(potential(np.array([[0.0, 0.0], [4.0, 0.0]]), p), 0.5, rtol=1e-15)
     with pytest.raises(CollisionError):
         potential(np.zeros((2, 2)), p)
+
+
+def test_pair_terms_veto_and_batch():
+    p = PotentialParams(0.5, np.array([1.0, 2.0, 3.0]))
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+    nodes = np.stack([x, 2.0 * x])
+    min_sq, u, grad = pair_terms(nodes, p)
+    assert min_sq == 1.0
+    npt.assert_array_equal(u, [potential(x, p), potential(2.0 * x, p)])
+    npt.assert_array_equal(grad[1], potential_gradient(2.0 * x, p))
+    # a floor above the closest pair vetoes before any power is taken, so a
+    # coincident pair is reported rather than raised
+    collided = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
+    assert pair_terms(collided, p, floor=0.5) == (0.0, None, None)
+    assert pair_terms(nodes, p, floor=1.5) == (1.0, None, None)
+    with pytest.raises(CollisionError):
+        pair_terms(collided, p)
 
 
 def test_potential_homogeneity():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 
+from weakforce.action import minimize_free_time
 from weakforce.configspace import weighted_distance
 from weakforce.dynamics import PotentialParams
 from weakforce.metric import (
@@ -11,7 +12,6 @@ from weakforce.metric import (
     check_lower_bounds,
     check_symmetry,
     check_triangle,
-    phi_estimate,
     render_metric_report,
     run_metric_suite,
 )
@@ -40,7 +40,7 @@ def test_phi_far_pair_free_particle_value():
     x = np.array([[0.0, 0.0], [1e6, 0.0]])
     y = np.array([[4.0, 0.0], [1e6 + 4.0, 0.0]])
     d = weighted_distance(x, y, p.masses)
-    est = phi_estimate(x, y, 1.0, p, n_segments=80)
+    est = minimize_free_time(x, y, 1.0, p, n_segments=80)
     assert est.converged
     npt.assert_allclose(est.value, 2.0 * math.sqrt(1.0) * d, rtol=0.02)
 
@@ -84,7 +84,7 @@ def test_lower_bound_fields_and_slacks():
     p = PotentialParams(0.5, np.array([1.0, 1.0]))
     x = np.array([[0.0, 0.0], [2.0, 0.0]])
     y = np.array([[1.0, 6.0], [3.0, 6.0]])
-    est = phi_estimate(x, y, 2.0, p, n_segments=100)
+    est = minimize_free_time(x, y, 2.0, p, n_segments=100)
     assert est.converged
     chk = check_lower_bounds(x, y, 2.0, est, p)
     assert chk.ok
@@ -102,8 +102,8 @@ def test_phi_monotone_in_energy():
     p = PotentialParams(0.6, np.array([1.0, 1.0]))
     x = np.array([[0.0, 0.0], [2.0, 0.0]])
     y = np.array([[0.0, 6.0], [2.0, 6.0]])
-    lo = phi_estimate(x, y, 1.0, p, n_segments=100)
-    hi = phi_estimate(x, y, 2.0, p, n_segments=100)
+    lo = minimize_free_time(x, y, 1.0, p, n_segments=100)
+    hi = minimize_free_time(x, y, 2.0, p, n_segments=100)
     assert lo.converged and hi.converged
     assert hi.value > lo.value
 
