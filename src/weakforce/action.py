@@ -432,8 +432,9 @@ def _newton_polish(
         for _ in range(12):
             trial = best.copy()
             trial[1:-1] = best[1:-1] + alpha * step.reshape(shape)
-            if _nodes_min_sep(trial) > floor:
-                _, tgrad, _, _ = _value_grad_parts(trial, total_time, energy, params)
+            parts = _value_grad_parts(trial, total_time, energy, params, floor)
+            if parts is not None:
+                tgrad = parts[1]
                 tnorm = float(np.linalg.norm(tgrad.ravel()))
                 if tnorm < gnorm:
                     best, grad, gnorm = trial, tgrad, tnorm

@@ -295,3 +295,20 @@ def test_validate_geometry_deterministic(tmp_path, capsys):
         (a_dir / "geometry_report.txt").read_bytes()
         == (b_dir / "geometry_report.txt").read_bytes()
     )
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--samples", "-3"), "samples per cell"),
+        (("--samples", "0"), "samples per cell"),
+        (("--dims", "0"), "dimensions"),
+    ],
+)
+def test_validate_geometry_vacuous_or_invalid_plan_exits_2(tmp_path, capsys, flags, message):
+    code = run_cli("validate-geometry", "--output-dir", str(tmp_path), *flags)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "status: PASS" not in captured.out
+    assert not (tmp_path / "geometry_report.txt").exists()
