@@ -31,7 +31,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 
 from . import optimize
 from .configspace import min_separation, weighted_distance, weighted_norm
@@ -263,10 +264,12 @@ class SolverSettings:
 class MinimizeResult:
     """Outcome of a path minimization.
 
-    The action value is an upper bound for the infimum over all paths (it is
-    the best path found, not a certificate). status values: "converged",
-    "inner-not-converged", "line-search-failure", "transversality-miss",
-    "degenerate-endpoints", "boundary-time-floor", "bracket-failure".
+    The action value is the trapezoid value of the best path found. It is
+    not yet a certified upper bound for the infimum over all paths: the
+    trapezoid rule can undershoot the exact potential integral (see the
+    module docstring). status values: "converged", "inner-not-converged",
+    "line-search-failure", "transversality-miss", "degenerate-endpoints",
+    "boundary-time-floor", "bracket-failure".
     """
 
     path: DiscretePath
@@ -292,7 +295,9 @@ def _kinetic_preconditioner(n_interior: int, n_bodies: int, dim: int, dt: float,
 
     The kinetic part of the action has Hessian (m_i/dt) * tridiag(-1, 2, -1)
     in each body coordinate; its inverse application is a banded Cholesky
-    solve shared across all N*n coordinate columns.
+    solve shared across all N*n coordinate columns. The stored factor goes
+    straight to LAPACK's dpbtrs, the routine cho_solve_banded ends in, with
+    the same finiteness check on the right-hand side.
     """
     ab = np.zeros((2, n_interior))
     ab[0, 1:] = -1.0
@@ -301,7 +306,11 @@ def _kinetic_preconditioner(n_interior: int, n_bodies: int, dim: int, dt: float,
 
     def apply(q: np.ndarray) -> np.ndarray:
         cols = q.reshape(n_interior, n_bodies * dim)
-        sol = cho_solve_banded((factor, False), cols)
+        if not np.isfinite(cols).all():
+            raise ValueError("array must not contain infs or NaNs")
+        sol, info = dpbtrs(factor, cols, lower=0)
+        if info != 0:
+            raise ValueError(f"dpbtrs failed with info = {info}")
         z = sol.reshape(n_interior, n_bodies, dim) * (dt / masses[None, :, None])
         return z.ravel()
 

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .configspace import mass_vector, min_separation, pair_indices, weighted_norm
 
@@ -118,12 +117,41 @@ def _separations(dist2: np.ndarray) -> np.ndarray:
     return np.sqrt(dist2)
 
 
+_SCATTER_ROUNDS: dict[int, np.ndarray] = {}
+
+
+def _scatter_rounds(n_bodies: int) -> np.ndarray:
+    """Per-body gather rows into [c; -c], one column per scatter round.
+
+    Row a lists, in increasing pair index p, the pairs that touch body a:
+    p where a is the pair's first body, p + P where it is the second (P
+    pairs). Built once per body count; read-only.
+    """
+    rounds = _SCATTER_ROUNDS.get(n_bodies)
+    if rounds is None:
+        i, j = pair_indices(n_bodies)
+        n_pairs = i.size
+        rows = [[] for _ in range(n_bodies)]
+        for p in range(n_pairs):
+            rows[i[p]].append(p)
+            rows[j[p]].append(p + n_pairs)
+        rounds = np.array(rows, dtype=np.intp).T.copy()
+        rounds.setflags(write=False)
+        _SCATTER_ROUNDS[n_bodies] = rounds
+    return rounds
+
+
 def _scatter(pair_vectors: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """Sum per-pair vectors onto bodies: +c_p at body i, -c_p at body j."""
+    """Sum per-pair vectors onto bodies: +c_p at body i, -c_p at body j.
+
+    Every body receives its terms in increasing pair order starting from
+    +0.0, one gather per round, and x - y is x + (-y) in IEEE 754, so the
+    sums are bit-identical to a loop over pairs.
+    """
+    signed = np.concatenate([pair_vectors, -pair_vectors], axis=-2)
     out = np.zeros_like(like)
-    for p, (a, b) in enumerate(zip(*pair_indices(like.shape[-2]))):
-        out[..., a, :] += pair_vectors[..., p, :]
-        out[..., b, :] -= pair_vectors[..., p, :]
+    for rows in _scatter_rounds(like.shape[-2]):
+        out += np.take(signed, rows, axis=-2)
     return out
 
 
@@ -357,6 +385,10 @@ def integrate(
 
     close_approach.terminal = True
     close_approach.direction = -1
+
+    # Imported here: scipy.integrate also loads scipy.optimize and
+    # scipy.special, and no other entry point needs them.
+    from scipy.integrate import solve_ivp
 
     y0 = np.concatenate([x0.ravel(), state.velocities.ravel()])
     try:

@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 
+# Trajectory rows formatted per write; a fixed size keeps memory flat on
+# long paths.
+_CSV_BLOCK_ROWS = 2048
+
+
 def format_float(value: float) -> str:
     """Shortest exact decimal text for a float."""
     return repr(float(value))
@@ -109,29 +114,34 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory, params: PotentialPa
     """
     n_samples, n_bodies, dim = traj.positions.shape
     mass_text = ",".join(format_float(m) for m in params.masses)
+    header = (
+        ["t"]
+        + _position_columns(n_bodies, dim)
+        + _velocity_columns(n_bodies, dim)
+        + ["energy", "energy_drift", "momentum_drift", "angular_momentum_drift"]
+    )
+    columns = (
+        traj.times,
+        traj.positions.reshape(n_samples, n_bodies * dim),
+        traj.velocities.reshape(n_samples, n_bodies * dim),
+        traj.energy,
+        traj.energy_drift,
+        traj.momentum_drift,
+        traj.angular_momentum_drift,
+    )
     with open(path, "w", newline="") as fh:
         fh.write(
             f"# bodies={n_bodies} dim={dim} alpha={format_float(params.alpha)} "
             f"masses={mass_text}\n"
         )
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t"]
-            + _position_columns(n_bodies, dim)
-            + _velocity_columns(n_bodies, dim)
-            + ["energy", "energy_drift", "momentum_drift", "angular_momentum_drift"]
-        )
-        for s in range(n_samples):
-            row = [format_float(traj.times[s])]
-            row += [format_float(v) for v in traj.positions[s].ravel()]
-            row += [format_float(v) for v in traj.velocities[s].ravel()]
-            row += [
-                format_float(traj.energy[s]),
-                format_float(traj.energy_drift[s]),
-                format_float(traj.momentum_drift[s]),
-                format_float(traj.angular_momentum_drift[s]),
-            ]
-            writer.writerow(row)
+        # The rows csv.writer would emit: repr needs no quoting, and its
+        # line ends are \r\n. Blocks bound the memory of the text rows.
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, n_samples, _CSV_BLOCK_ROWS):
+            block = np.column_stack(
+                [np.asarray(c[start : start + _CSV_BLOCK_ROWS], dtype=float) for c in columns]
+            )
+            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in block.tolist()))
 
 
 def read_trajectory_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:

@@ -8,6 +8,8 @@ compares package output against one of these routines, the two code paths
 share no arithmetic.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -104,6 +106,29 @@ def fd_action_time_derivative(alpha, masses, nodes, total_time, energy, h=1e-6):
     up = scalar_path_action(alpha, masses, nodes, total_time * (1 + h), energy)
     down = scalar_path_action(alpha, masses, nodes, total_time * (1 - h), energy)
     return (up - down) / (2.0 * total_time * h)
+
+
+def scatter_loop(pair_vectors, n_bodies):
+    """Pair -> body sum by a loop over pairs in triu order: +c_p at i, -c_p at j.
+
+    The loop the package's pair scatter replaced; kept as the bit-level
+    reference for it.
+    """
+    out = np.zeros(pair_vectors.shape[:-2] + (n_bodies, pair_vectors.shape[-1]))
+    for p, (a, b) in enumerate(zip(*np.triu_indices(n_bodies, k=1))):
+        out[..., a, :] += pair_vectors[..., p, :]
+        out[..., b, :] -= pair_vectors[..., p, :]
+    return out
+
+
+def trajectory_csv_rows(header, rows):
+    """CSV text from csv.writer with every number as repr(float(v))."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) for v in row])
+    return buf.getvalue()
 
 
 def free_particle_time(distance, energy):

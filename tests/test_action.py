@@ -55,6 +55,36 @@ def wiggled_path(rng, n_bodies=2, dim=2, m=40, total_time=3.0, spread=4.0):
             return DiscretePath(total_time, nodes)
 
 
+@pytest.mark.parametrize("n_interior", [3, 200, 1601])
+def test_kinetic_preconditioner_equals_cho_solve_banded(n_interior):
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
+    from weakforce.action import _kinetic_preconditioner
+
+    masses = np.array([1.0, 1.3, 1.8])
+    dt = 0.037
+    apply = _kinetic_preconditioner(n_interior, 3, 2, dt, masses)
+    ab = np.zeros((2, n_interior))
+    ab[0, 1:] = -1.0
+    ab[1, :] = 2.0
+    factor = cholesky_banded(ab)
+    q = np.random.default_rng(n_interior).normal(size=n_interior * 6)
+    sol = cho_solve_banded((factor, False), q.reshape(n_interior, 6))
+    want = (sol.reshape(n_interior, 3, 2) * (dt / masses[None, :, None])).ravel()
+    assert apply(q).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kinetic_preconditioner_rejects_non_finite(bad):
+    from weakforce.action import _kinetic_preconditioner
+
+    apply = _kinetic_preconditioner(5, 2, 2, 0.1, np.array([1.0, 2.0]))
+    q = np.ones(20)
+    q[7] = bad
+    with pytest.raises(ValueError):
+        apply(q)
+
+
 # ---------------------------------------------------------------------------
 # path_action
 

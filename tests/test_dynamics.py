@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oracles import fd_potential_gradient, scalar_potential
+from oracles import fd_potential_gradient, scalar_potential, scatter_loop
 from weakforce.dynamics import (
     CollisionError,
     IntegrationError,
@@ -147,6 +147,28 @@ def test_hessian_vec_matches_gradient_differences():
     h = 1e-6
     fd = (potential_gradient(x + h * v, p) - potential_gradient(x - h * v, p)) / (2 * h)
     npt.assert_allclose(potential_hessian_vec(x, v, p), fd, rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("n_bodies", [2, 3, 4, 10])
+def test_scatter_is_bit_identical_to_pair_loop(n_bodies):
+    from weakforce.dynamics import _scatter
+
+    rng = np.random.default_rng(41 + n_bodies)
+    n_pairs = n_bodies * (n_bodies - 1) // 2
+    for shape in [(n_pairs, 2), (7, n_pairs, 3)]:
+        pv = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, size=shape)
+        pv.flat[::3] = 0.0
+        pv.flat[1::4] = -0.0
+        like = np.empty(shape[:-2] + (n_bodies, shape[-1]))
+        got = _scatter(pv, like)
+        want = scatter_loop(pv, n_bodies)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    # signed-zero inputs: each body sum must come out +0.0 as in the loop
+    for zero in (0.0, -0.0):
+        pv = np.full((n_pairs, 2), zero)
+        got = _scatter(pv, np.empty((n_bodies, 2)))
+        assert got.tobytes() == scatter_loop(pv, n_bodies).tobytes()
 
 
 def test_lagrangian_and_energy_examples():

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from weakforce.dynamics import PhasePoint, PotentialParams, integrate
+import weakforce
+from oracles import trajectory_csv_rows
+from weakforce.dynamics import PhasePoint, PotentialParams, Trajectory, integrate
 from weakforce.fileio import (
+    _CSV_BLOCK_ROWS,
     format_float,
     parse_inline_configuration,
     read_configuration_csv,
@@ -101,3 +109,51 @@ def test_write_text_newline_guarantee(tmp_path):
     write_text(a, "report")
     write_text(b, "report\n")
     assert a.read_bytes() == b.read_bytes() == b"report\n"
+
+
+def test_trajectory_csv_bytes_match_csv_writer_reference(tmp_path):
+    n = 2 * _CSV_BLOCK_ROWS + 5  # two full blocks and a short one
+    rng = np.random.default_rng(5)
+    pos = rng.normal(size=(n, 3, 2)) * 10.0 ** rng.integers(-300, 300, size=(n, 3, 2))
+    vel = rng.normal(size=(n, 3, 2))
+    specials = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.0, 1e-7, 123456789.0]
+    pos[0, :, :].flat[:6] = specials[:6]
+    vel[1, :, :].flat[:6] = specials[3:]
+    columns = [rng.normal(size=n) for _ in range(5)]
+    for c in columns:
+        c[: len(specials)] = specials
+    traj = Trajectory(columns[0], pos, vel, *columns[1:])
+    params = PotentialParams(0.6, np.array([1.0, 1.3, 1.8]))
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(path, traj, params)
+
+    first, body = path.read_bytes().decode().split("\n", 1)
+    assert first == "# bodies=3 dim=2 alpha=0.6 masses=1.0,1.3,1.8"
+    header = (
+        ["t"]
+        + [f"x{i}_{k}" for i in (1, 2, 3) for k in (1, 2)]
+        + [f"v{i}_{k}" for i in (1, 2, 3) for k in (1, 2)]
+        + ["energy", "energy_drift", "momentum_drift", "angular_momentum_drift"]
+    )
+    rows = np.column_stack(
+        [columns[0], pos.reshape(n, 6), vel.reshape(n, 6)] + columns[1:]
+    )
+    assert body == trajectory_csv_rows(header, rows)
+
+
+def test_trajectory_csv_of_empty_trajectory(tmp_path):
+    empty = np.zeros(0)
+    traj = Trajectory(empty, np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), *[empty] * 4)
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(path, traj, PotentialParams(0.5, np.array([1.0, 2.0])))
+    assert path.read_bytes().decode().count("\r\n") == 1
+
+
+def test_cli_import_does_not_load_ode_solver():
+    src = str(Path(weakforce.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, weakforce.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
