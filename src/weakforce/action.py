@@ -229,35 +229,33 @@ def discretization_scale(path: DiscretePath, params: PotentialParams) -> float:
     return float(norms.max()) / (12.0 * path.dt**2)
 
 
+_MAX_ITERATIONS = 1500  # L-BFGS cap of one inner solve at fixed T
+_MEMORY = 12
+_COLLISION_FLOOR_SCALE = 1e-3  # veto floor over the endpoints' min separation
+_TIME_BRACKET_TOL = 1e-3
+_MAX_POLISH = 12
+# drive |median(h) - E| this far below energy_tol; residual timing noise
+# otherwise dominates comparisons between independently solved paths
+_POLISH_RTOL = 1e-6
+_NEWTON_CG_TOL = 1e-3
+_NEWTON_MAX_CG = 250
+
+
 @dataclass(frozen=True)
 class SolverSettings:
-    """Tolerances and guards for the path minimizers.
+    """Tolerances of the path minimizers that a caller may set.
 
-    energy_tol is relative: the free-time result is accepted when the
-    interior-node energy satisfies |h - E| <= energy_tol * E. The collision
-    floor (absolute, or scale * min endpoint separation when None) vetoes
-    any iterate with a closer node pair.
+    grad_tol: relative; the inner L-BFGS solve at fixed T stops when the
+        interior-node gradient norm is at most grad_tol * (1 + |A|).
+    energy_tol: relative; the free-time result is accepted when the
+        interior-node energy satisfies |h - E| <= energy_tol * E.
+    time_floor: the smallest duration T the free-time search will try;
+        degenerate endpoints are solved at it.
     """
 
     grad_tol: float = 1e-8
     energy_tol: float = 1e-3
-    max_iterations: int = 1500
-    memory: int = 12
-    collision_floor: float | None = None
-    collision_floor_scale: float = 1e-3
     time_floor: float = 1e-4
-    time_bracket_tol: float = 1e-3
-    max_polish: int = 12
-    # drive |median(h) - E| this far below energy_tol; residual timing noise
-    # otherwise dominates comparisons between independently solved paths
-    polish_rtol: float = 1e-6
-    # rounds of exact-Hessian conjugate-gradient cleanup after the
-    # quasi-newton stage (0 disables). Long paths leave the limited-memory
-    # solver with residual error along low-frequency modes whose curvature
-    # scales like 1/T^2; comparing two such paths pointwise needs it removed.
-    newton_polish: int = 0
-    newton_cg_tol: float = 1e-3
-    newton_max_cg: int = 250
 
 
 @dataclass(frozen=True)
@@ -283,7 +281,6 @@ class MinimizeResult:
     dA_dT: float
     min_sep: float
     degenerate: bool = False
-    restart_index: int = 0
 
     @property
     def value(self) -> float:
@@ -323,12 +320,6 @@ def _check_endpoints(x: np.ndarray, y: np.ndarray, params: PotentialParams) -> f
     if rx <= 0.0 or ry <= 0.0:
         raise CollisionError("endpoint configuration has two bodies at the same point")
     return min(rx, ry)
-
-
-def _floor_for(x, y, params, settings: SolverSettings) -> float:
-    if settings.collision_floor is not None:
-        return settings.collision_floor
-    return settings.collision_floor_scale * _check_endpoints(x, y, params)
 
 
 def _bumped_nodes(nodes: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
@@ -410,13 +401,13 @@ def _pcg(apply_h, rhs: np.ndarray, apply_m_inv, rel_tol: float, max_iter: int):
     return x
 
 
-def _newton_polish(
+def _newton_cleanup(
     nodes: np.ndarray,
     total_time: float,
     energy: float,
     params: PotentialParams,
     floor: float,
-    settings: SolverSettings,
+    rounds: int,
     apply_h0,
 ):
     """Newton-CG cleanup of a converged interior solve; returns (nodes, grad norm)."""
@@ -425,7 +416,7 @@ def _newton_polish(
     best = nodes.copy()
     _, grad, _, _ = _value_grad_parts(best, total_time, energy, params)
     gnorm = float(np.linalg.norm(grad.ravel()))
-    for _ in range(settings.newton_polish):
+    for _ in range(rounds):
         if gnorm == 0.0:
             break
         hess = _hessian_operator(best, total_time, params)
@@ -433,8 +424,8 @@ def _newton_polish(
             hess,
             -grad.ravel(),
             apply_h0,
-            rel_tol=settings.newton_cg_tol,
-            max_iter=settings.newton_max_cg,
+            rel_tol=_NEWTON_CG_TOL,
+            max_iter=_NEWTON_MAX_CG,
         )
         improved = False
         alpha = 1.0
@@ -462,6 +453,7 @@ def _solve_interior(
     params: PotentialParams,
     floor: float,
     settings: SolverSettings,
+    newton_rounds: int = 0,
 ):
     """Inner minimization over interior nodes at fixed T."""
     m_plus_1, n_bodies, dim = nodes0.shape
@@ -485,16 +477,16 @@ def _solve_interior(
         fun_grad,
         nodes0[1:-1].ravel(),
         grad_tol=settings.grad_tol,
-        max_iterations=settings.max_iterations,
-        memory=settings.memory,
+        max_iterations=_MAX_ITERATIONS,
+        memory=_MEMORY,
         apply_h0=apply_h0,
     )
     nodes = nodes0.copy()
     nodes[1:-1] = outcome.x.reshape(n_interior, n_bodies, dim)
     nodes[0], nodes[-1] = endpoints
-    if settings.newton_polish > 0 and outcome.converged:
-        nodes, gnorm = _newton_polish(
-            nodes, total_time, energy, params, floor, settings, apply_h0
+    if newton_rounds > 0 and outcome.converged:
+        nodes, gnorm = _newton_cleanup(
+            nodes, total_time, energy, params, floor, newton_rounds, apply_h0
         )
         if gnorm < outcome.grad_norm:
             outcome = replace(outcome, x=nodes[1:-1].ravel(), grad_norm=gnorm)
@@ -502,7 +494,7 @@ def _solve_interior(
 
 
 def _assemble_result(
-    nodes, total_time, energy, params, outcome, status, degenerate=False, restart_index=0
+    nodes, total_time, energy, params, outcome, status, degenerate=False
 ) -> MinimizeResult:
     path = DiscretePath(total_time, nodes)
     act, _, da_dt, min_sq = _value_grad_parts(path.nodes, total_time, energy, params)
@@ -518,7 +510,6 @@ def _assemble_result(
         dA_dT=da_dt,
         min_sep=math.sqrt(min_sq),
         degenerate=degenerate,
-        restart_index=restart_index,
     )
 
 
@@ -531,7 +522,7 @@ def minimize_fixed_time(
     n_segments: int = 200,
     settings: SolverSettings | None = None,
     init_nodes: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
+    newton_rounds: int = 0,
 ) -> MinimizeResult:
     """Minimize the action over paths x -> y with the duration held fixed.
 
@@ -544,7 +535,10 @@ def minimize_fixed_time(
             is given).
         settings: Solver tolerances; defaults when None.
         init_nodes: Optional warm-start nodes; endpoints are overwritten.
-        rng: Source for feasibility bumps of the initial path.
+        newton_rounds: Rounds of exact-Hessian Newton-CG cleanup after a
+            converged L-BFGS solve (0 disables). Long paths leave L-BFGS with
+            error along low-frequency modes (curvature ~ 1/T^2) that
+            pointwise comparisons of two paths need removed.
 
     Returns:
         A :class:`MinimizeResult`; check ``converged``.
@@ -554,16 +548,17 @@ def minimize_fixed_time(
         raise ValueError(f"energy must be positive, got {energy}")
     if total_time <= 0.0:
         raise ValueError(f"total_time must be positive, got {total_time}")
-    floor = _floor_for(x, y, params, settings)
+    floor = _COLLISION_FLOOR_SCALE * _check_endpoints(x, y, params)
     if init_nodes is None:
         nodes0 = straight_path(x, y, total_time, n_segments).nodes
     else:
         nodes0 = np.array(init_nodes, dtype=float)
         nodes0[0], nodes0[-1] = x, y
-    rng = rng if rng is not None else np.random.default_rng(0)
     bump_scale = max(weighted_distance(x, y, params.masses), 1.0)
-    nodes0 = _feasible_nodes(nodes0, floor, bump_scale, rng)
-    nodes, outcome = _solve_interior(nodes0, total_time, energy, params, floor, settings)
+    nodes0 = _feasible_nodes(nodes0, floor, bump_scale, np.random.default_rng(0))
+    nodes, outcome = _solve_interior(
+        nodes0, total_time, energy, params, floor, settings, newton_rounds
+    )
     status = "converged" if outcome.converged else (
         outcome.status if outcome.status != "max-iterations" else "inner-not-converged"
     )
@@ -602,7 +597,8 @@ def minimize_free_time(
 
     Returns:
         A :class:`MinimizeResult` whose ``action.value`` estimates the
-        distance phi_E(x, y) from above.
+        distance phi_E(x, y). It is the discrete value of the best path
+        found, not a certified upper bound (see the module docstring).
     """
     settings = settings or SolverSettings()
     if energy <= 0.0:
@@ -611,7 +607,7 @@ def minimize_free_time(
         raise ValueError("restarts must be >= 1")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    floor = _floor_for(x, y, params, settings)
+    floor = _COLLISION_FLOOR_SCALE * _check_endpoints(x, y, params)
     d = weighted_distance(x, y, params.masses)
     scale = 1.0 + max(weighted_norm(x, params.masses), weighted_norm(y, params.masses))
     if d <= 1e-9 * scale:
@@ -696,10 +692,7 @@ def _free_time_single(
             hi *= 2.0
             if hi > 1e7 * t_guess:
                 nodes, outcome = solve_at(mid)
-                return _assemble_result(
-                    nodes, mid, energy, params, outcome, "bracket-failure",
-                    restart_index=attempt,
-                )
+                return _assemble_result(nodes, mid, energy, params, outcome, "bracket-failure")
             f_hi = value_at(hi)
         else:
             break
@@ -708,11 +701,11 @@ def _free_time_single(
         nodes, outcome = solve_at(settings.time_floor)
         return _assemble_result(
             nodes, settings.time_floor, energy, params, outcome,
-            "boundary-time-floor", degenerate=True, restart_index=attempt,
+            "boundary-time-floor", degenerate=True,
         )
 
     t_best, _ = optimize.golden_section(
-        value_at, lo, hi, rel_tol=settings.time_bracket_tol
+        value_at, lo, hi, rel_tol=_TIME_BRACKET_TOL
     )
 
     # transversality polish: the interior-node energy level is monotone
@@ -723,11 +716,11 @@ def _free_time_single(
         return float(np.median(energy_profile(path, params))) - energy
 
     tol_abs = settings.energy_tol * energy
-    polish_target = min(0.25 * tol_abs, settings.polish_rtol * energy)
+    polish_target = min(0.25 * tol_abs, _POLISH_RTOL * energy)
     t_cur = t_best
     g_cur = mismatch(t_cur)
     t_prev, g_prev = None, None
-    for _ in range(settings.max_polish):
+    for _ in range(_MAX_POLISH):
         if abs(g_cur) <= polish_target:
             break
         if t_prev is None or g_cur == g_prev:
@@ -751,4 +744,4 @@ def _free_time_single(
         status = "transversality-miss"
     else:
         status = "converged"
-    return _assemble_result(nodes, t_cur, energy, params, outcome, status, restart_index=attempt)
+    return _assemble_result(nodes, t_cur, energy, params, outcome, status)

@@ -61,16 +61,12 @@ def mass_vector(values) -> np.ndarray:
     return m
 
 
-def as_configuration(points, n_bodies: int | None = None, dim: int | None = None) -> np.ndarray:
-    """Coerce input to an (N, n) float configuration array.
-
-    Args:
-        points: Array-like of shape (N, n).
-        n_bodies: If given, required N.
-        dim: If given, required n.
+def as_configuration(points) -> np.ndarray:
+    """Coerce array-like input of shape (N, n) to a float configuration array.
 
     Raises:
-        ValueError: On wrong rank, non-finite entries, or shape mismatch.
+        ValueError: On wrong rank, fewer than 2 bodies or 1 dimension, or
+            non-finite entries.
     """
     x = np.asarray(points, dtype=float)
     if x.ndim != 2:
@@ -79,10 +75,6 @@ def as_configuration(points, n_bodies: int | None = None, dim: int | None = None
         raise ValueError(f"configuration needs >= 2 bodies in >= 1 dimension, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("configuration has non-finite entries")
-    if n_bodies is not None and x.shape[0] != n_bodies:
-        raise ValueError(f"expected {n_bodies} bodies, got {x.shape[0]}")
-    if dim is not None and x.shape[1] != dim:
-        raise ValueError(f"expected dimension {dim}, got {x.shape[1]}")
     return x
 
 

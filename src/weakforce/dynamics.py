@@ -391,19 +391,16 @@ def integrate(
     from scipy.integrate import solve_ivp
 
     y0 = np.concatenate([x0.ravel(), state.velocities.ravel()])
-    try:
-        sol = solve_ivp(
-            rhs,
-            (0.0, float(t_end)),
-            y0,
-            method="RK45",
-            rtol=settings.rtol,
-            atol=settings.atol,
-            t_eval=t_eval,
-            events=[close_approach],
-        )
-    except CollisionError:
-        raise
+    sol = solve_ivp(
+        rhs,
+        (0.0, float(t_end)),
+        y0,
+        method="RK45",
+        rtol=settings.rtol,
+        atol=settings.atol,
+        t_eval=t_eval,
+        events=[close_approach],
+    )
     if sol.status == -1:
         raise IntegrationError(f"integration failed: {sol.message}")
 
@@ -431,20 +428,20 @@ def integrate_leapfrog(
     t_end: float,
     dt: float,
     params: PotentialParams,
-    collision_eps: float | None = None,
     record_every: int = 1,
 ) -> Trajectory:
     """Fixed-step kick-drift-kick leapfrog; independent of :func:`integrate`.
 
     Second-order symplectic scheme. Meant for cross-checks, not precision
-    work; halts like :func:`integrate` when separations reach the threshold.
+    work; halts when a separation falls to 1e-8 times the initial minimum
+    separation, the default threshold of :func:`integrate`.
     """
     if dt <= 0.0 or t_end <= 0.0:
         raise ValueError("t_end and dt must be positive")
     x = state.positions.copy()
     v = state.velocities.copy()
     r0 = min_separation(x)
-    eps = collision_eps if collision_eps is not None else 1e-8 * r0
+    eps = 1e-8 * r0
     if r0 <= eps:
         raise CollisionError("initial state is at/below the collision threshold")
 

@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 _GAP_GRID = 257
+# Newton-CG rounds of the fixed-duration re-solve of each leg
+_POLISH_NEWTON_ROUNDS = 3
 
 
 def default_radii(
@@ -126,7 +128,6 @@ def construct(
     n_legs: int = 5,
     ratio: float = 2.0,
     base_factor: float = 70.0,
-    min_radius_factor: float = 1.0,
     n_segments: int = 1600,
     max_segments: int = 32000,
     settings: SolverSettings | None = None,
@@ -153,7 +154,7 @@ def construct(
         radii: Explicit increasing target radii; default geometric schedule
             from ``default_radii``.
         n_legs, ratio, base_factor: Schedule knobs when radii is None.
-        min_radius_factor: Require radii[0] >= this * (1+||x0||)/r(shape).
+            Either way radii[0] must be at least (1+||x0||)/r(shape).
         n_segments: Segment count of the first leg. The spacing it induces
             must resolve the start's near field or the interior-node energy
             check fails; the default suits the default radius schedule for
@@ -183,16 +184,13 @@ def construct(
     radii = tuple(float(r) for r in radii)
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
-    r_min = min_radius_factor * (1.0 + weighted_norm(x0, masses)) / r_a
+    r_min = (1.0 + weighted_norm(x0, masses)) / r_a
     if radii[0] < r_min:
         raise ValueError(
             f"first radius {radii[0]!r} is below the growth precondition {r_min!r}"
         )
 
     settings = settings or SolverSettings()
-    polish_settings = settings
-    if polish_settings.newton_polish == 0:
-        polish_settings = replace(settings, newton_polish=3)
     sqrt_e = math.sqrt(energy)
     dists = [weighted_norm(r * shape - x0, masses) for r in radii]
 
@@ -217,7 +215,7 @@ def construct(
             n_segments=m_k, settings=settings, restarts=restarts, rng=rng, init_nodes=init,
         )
         if result.converged:
-            result = _polish_leg(result, x0, target, energy, params, polish_settings)
+            result = _polish_leg(result, x0, target, energy, params, settings)
         legs.append(result)
         if not result.converged:
             completed = False
@@ -261,6 +259,7 @@ def _polish_leg(
         n_segments=path.n_segments,
         init_nodes=path.nodes,
         settings=settings,
+        newton_rounds=_POLISH_NEWTON_ROUNDS,
     )
     if not fixed.converged:
         return free_result

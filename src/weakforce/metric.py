@@ -1,10 +1,11 @@
 """Estimation and property testing of the minimal-action distance.
 
 phi_E(x, y) is the infimum of the fixed-energy action over collision-free
-paths from x to y, time free. The minimizer gives upper bounds only, so all
-metric properties here (symmetry, triangle inequality, the two lower
-bounds) are checked statistically over randomized endpoint families rather
-than assumed; violations beyond the solver tolerance are counted and made
+paths from x to y, time free. The minimizer's value is a discrete estimate
+of it, not a certified bound (see the action module), so all metric
+properties here (symmetry, triangle inequality, the two lower bounds) are
+checked statistically over randomized endpoint families rather than
+assumed; violations beyond the solver tolerance are counted and made
 replayable through (seed, case index) pairs.
 """
 
@@ -39,6 +40,11 @@ __all__ = [
 # mismatches sit below 1e-5 relative, asserted at 1e-4 for slack.
 VALUE_RTOL = 1e-4
 
+# endpoint shapes have weighted norm uniform in this range, with every body
+# pair at least _MIN_BODY_GAP apart
+_SIZE_RANGE = (2.0, 4.0)
+_MIN_BODY_GAP = 1.0
+
 
 @dataclass(frozen=True)
 class SymmetryCheck:
@@ -68,9 +74,8 @@ class TriangleCheck:
 
     @property
     def ok(self) -> bool:
-        # the direct leg is an upper bound while the two-leg sum carries its
-        # own optimization slack, so require the margin to clear -3x the
-        # per-value tolerance
+        # each of the three legs is an estimate carrying its own optimization
+        # slack, so require the margin to clear -3x the per-value tolerance
         scale = 1.0 + abs(self.leg_xz.value)
         return self.margin >= -3.0 * VALUE_RTOL * scale
 
@@ -138,6 +143,9 @@ class MetricSuiteConfig:
     Endpoint shapes are rescaled Gaussian configurations kept clear of
     collisions; separations are drawn so that both near and well-separated
     endpoint pairs appear.
+
+    Raises:
+        ValueError: If n_pairs or n_triples is negative, or both are 0.
     """
 
     seed: int = 0
@@ -151,8 +159,14 @@ class MetricSuiteConfig:
     n_segments: int = 200
     restarts: int = 1
     separation_range: tuple[float, float] = (4.0, 10.0)
-    size_range: tuple[float, float] = (2.0, 4.0)
-    min_body_gap: float = 1.0
+
+    def __post_init__(self):
+        if self.n_pairs < 0 or self.n_triples < 0:
+            raise ValueError(
+                f"pairs and triples must not be negative, got {self.n_pairs} and {self.n_triples}"
+            )
+        if self.n_pairs == 0 and self.n_triples == 0:
+            raise ValueError("the suite would check nothing: need at least one pair or triple")
 
 
 @dataclass(frozen=True)
@@ -192,13 +206,13 @@ def _sample_configuration(rng, n_bodies, dim, masses, size, min_gap):
 
 
 def _sample_pair(rng, cfg: MetricSuiteConfig, masses):
-    size = rng.uniform(*cfg.size_range)
-    x = _sample_configuration(rng, cfg.n_bodies, cfg.dim, masses, size, cfg.min_body_gap)
+    size = rng.uniform(*_SIZE_RANGE)
+    x = _sample_configuration(rng, cfg.n_bodies, cfg.dim, masses, size, _MIN_BODY_GAP)
     u = rng.standard_normal((cfg.n_bodies, cfg.dim))
     u /= weighted_norm(u, masses)
     sep = rng.uniform(*cfg.separation_range)
-    size_y = rng.uniform(*cfg.size_range)
-    y_shape = _sample_configuration(rng, cfg.n_bodies, cfg.dim, masses, size_y, cfg.min_body_gap)
+    size_y = rng.uniform(*_SIZE_RANGE)
+    y_shape = _sample_configuration(rng, cfg.n_bodies, cfg.dim, masses, size_y, _MIN_BODY_GAP)
     y = y_shape + sep * u
     return x, y
 

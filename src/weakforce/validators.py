@@ -377,7 +377,7 @@ class SuiteConfig:
 
     Each (n_bodies, dim) cell gets ``samples`` draws. Ray times are the
     hypothesis threshold times a log-uniform multiplier in
-    t_multiplier_range; lambdas are uniform in lambda_range.
+    _T_MULTIPLIER_RANGE; lambdas are uniform in lambda_range.
 
     Raises:
         ValueError: If a suite would check nothing or draw impossible
@@ -389,10 +389,7 @@ class SuiteConfig:
     samples: int = 200
     body_counts: tuple[int, ...] = (2, 3, 5)
     dims: tuple[int, ...] = (2, 3)
-    shape_min_sep: float = 0.05
     lambda_range: tuple[float, float] = (0.01, 0.49)
-    t_multiplier_range: tuple[float, float] = (1.0 + 1e-6, 100.0)
-    position_scale_range: tuple[float, float] = (0.1, 10.0)
 
     def __post_init__(self):
         if self.samples < 1:
@@ -421,6 +418,11 @@ class SuiteReport:
 
 
 _REPLAY_CAP = 20
+# sampled shapes have r(a) >= _SHAPE_MIN_SEP; ray times and position scales
+# are log-uniform in these ranges
+_SHAPE_MIN_SEP = 0.05
+_T_MULTIPLIER_RANGE = (1.0 + 1e-6, 100.0)
+_POSITION_SCALE_RANGE = (0.1, 10.0)
 
 
 class _Part(NamedTuple):
@@ -447,22 +449,22 @@ def _log_uniform(rng: np.random.Generator, bounds: tuple[float, float]) -> np.nd
     return np.exp(rng.uniform(math.log(lo), math.log(hi), CHUNK_SIZE))
 
 
-def _positions(rng: np.random.Generator, cfg: SuiteConfig, nb: int, dim: int) -> np.ndarray:
+def _positions(rng: np.random.Generator, nb: int, dim: int) -> np.ndarray:
     """Gaussian configurations at log-uniform scales."""
-    scale = _log_uniform(rng, cfg.position_scale_range)
+    scale = _log_uniform(rng, _POSITION_SCALE_RANGE)
     return scale[:, None, None] * rng.standard_normal((CHUNK_SIZE, nb, dim))
 
 
 def _norm_chunk(rng, cfg, stream, nb, dim, masses):
-    x = _positions(rng, cfg, nb, dim)
+    x = _positions(rng, nb, dim)
     return [_Part(stream, _ALL_ROWS, _ALL_ROWS, {"x": x}, check_norm_bounds_batch(x, masses))]
 
 
 def _ray_chunk(rng, cfg, stream, nb, dim, masses):
-    a = sample_shapes(rng, CHUNK_SIZE, nb, dim, masses, cfg.shape_min_sep)
-    x = _positions(rng, cfg, nb, dim)
+    a = sample_shapes(rng, CHUNK_SIZE, nb, dim, masses, _SHAPE_MIN_SEP)
+    x = _positions(rng, nb, dim)
     t = _ray_threshold(x, pair_distances(a).min(axis=-1), masses) * _log_uniform(
-        rng, cfg.t_multiplier_range
+        rng, _T_MULTIPLIER_RANGE
     )
     margins = check_ray_estimates_batch(x, a, masses, t)
     return [_Part(stream, _ALL_ROWS, _ALL_ROWS, {"x": x, "shape": a, "t": t}, margins)]
@@ -473,7 +475,7 @@ def _perturbation_chunk(rng, cfg, stream, nb, dim, masses):
 
     A projection whose effective lambda leaves (0, 1/2) is skipped.
     """
-    a = sample_shapes(rng, CHUNK_SIZE, nb, dim, masses, cfg.shape_min_sep)
+    a = sample_shapes(rng, CHUNK_SIZE, nb, dim, masses, _SHAPE_MIN_SEP)
     r_a = pair_distances(a).min(axis=-1)
     lam = rng.uniform(*cfg.lambda_range, CHUNK_SIZE)
     u = rng.standard_normal((CHUNK_SIZE, nb, dim))

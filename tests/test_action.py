@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -294,6 +295,36 @@ def test_fixed_time_minimizer_beats_straight_path():
     assert result.value <= straight + 1e-9
     # first-order conditions transfer to the reported gradient norm
     assert result.grad_norm < 1e-6 * (1.0 + abs(result.value))
+
+
+def test_solver_settings_fields():
+    assert [f.name for f in dataclasses.fields(SolverSettings)] == [
+        "grad_tol", "energy_tol", "time_floor",
+    ]
+
+
+def test_fixed_time_newton_rounds():
+    p = PotentialParams(0.5, np.array([1.0, 1.0, 1.0]))
+    x = np.array([[-2.0, 0.0], [0.0, 1.5], [2.0, 0.0]])
+    y = np.array([[-2.0, 3.0], [0.0, -1.5], [2.0, 3.0]])
+    default = minimize_fixed_time(x, y, 2.5, 2.0, p, n_segments=80)
+    plain = minimize_fixed_time(x, y, 2.5, 2.0, p, n_segments=80, newton_rounds=0)
+    polished = minimize_fixed_time(x, y, 2.5, 2.0, p, n_segments=80, newton_rounds=3)
+
+    # zero rounds is the default call, bit for bit
+    assert plain.path.nodes.tobytes() == default.path.nodes.tobytes()
+    assert (plain.value, plain.grad_norm, plain.iterations, plain.status) == (
+        default.value, default.grad_norm, default.iterations, default.status,
+    )
+
+    assert plain.converged and polished.converged
+    assert polished.path.total_time == plain.path.total_time == 2.5
+    assert polished.path.n_segments == 80
+    npt.assert_array_equal(polished.path.start, x)
+    npt.assert_array_equal(polished.path.end, y)
+    assert polished.grad_norm <= plain.grad_norm
+    # the exact-Hessian steps do more than the L-BFGS stop already did
+    assert polished.grad_norm < 1e-2 * plain.grad_norm
 
 
 def test_fixed_time_minimizer_el_residual_near_discretization_scale():

@@ -312,3 +312,20 @@ def test_validate_geometry_vacuous_or_invalid_plan_exits_2(tmp_path, capsys, fla
     assert message in captured.err
     assert "status: PASS" not in captured.out
     assert not (tmp_path / "geometry_report.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--pairs", "0", "--triples", "0"), "check nothing"),
+        (("--pairs", "-2", "--triples", "0"), "must not be negative"),
+        (("--pairs", "1", "--triples", "-1"), "must not be negative"),
+    ],
+)
+def test_metric_suite_vacuous_or_invalid_plan_exits_2(tmp_path, capsys, flags, message):
+    code = run_cli("metric-suite", "--output-dir", str(tmp_path), *flags)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "status: PASS" not in captured.out
+    assert not (tmp_path / "metric_report.txt").exists()

@@ -12,6 +12,7 @@ from weakforce.dynamics import (
     PotentialParams,
     ToleranceSettings,
     acceleration,
+    angular_momentum,
     integrate,
     integrate_leapfrog,
     kinetic_energy,
@@ -265,3 +266,26 @@ def test_leapfrog_energy_stays_bounded_long_horizon():
     lf = integrate_leapfrog(state, 20.0 * period, dt=period / 400, params=params, record_every=50)
     # symplectic scheme: energy oscillates but does not drift away
     assert lf.energy_drift.max() <= 5e-4
+
+
+def test_angular_momentum_planar_matches_scalar_cross_product():
+    state, params, _ = circular_two_body(alpha=0.5, masses=(1.0, 2.5), separation=1.3)
+    ang = angular_momentum(state, params.masses)
+    assert ang.shape == (2, 2)
+    npt.assert_array_equal(ang, -ang.T)
+    x, v, m = state.positions, state.velocities, params.masses
+    scalar = sum(m[i] * (x[i, 0] * v[i, 1] - x[i, 1] * v[i, 0]) for i in range(2))
+    assert scalar != 0.0
+    npt.assert_allclose(ang[0, 1], scalar, rtol=1e-14)
+
+
+def test_angular_momentum_3d_matches_cross_product_vector():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((4, 3))
+    v = rng.standard_normal((4, 3))
+    m = np.array([1.0, 1.5, 2.0, 3.0])
+    ang = angular_momentum(PhasePoint(x, v), m)
+    assert ang.shape == (3, 3)
+    npt.assert_array_equal(ang, -ang.T)
+    vec = np.einsum("i,ik->k", m, np.cross(x, v))
+    npt.assert_allclose([ang[1, 2], ang[2, 0], ang[0, 1]], vec, rtol=1e-12, atol=1e-14)

@@ -33,6 +33,16 @@ CALLS = [
     ("readme_simulate", ["simulate", "--alpha", "0.5", "--t-end", "62.8"]),
     ("readme_minimize", ["minimize", "--start=-1,0;1,0", "--end=-1,3;1,3", "--energy", "1.0"]),
     ("readme_phi", ["phi", "--start=-1,0;1,0", "--end=-1,3;1,3", "--energy", "1.0"]),
+    (
+        "minimize_fixed_time",
+        ["minimize", "--start=-1,0;1,0", "--end=-1,3;1,3", "--energy", "1.0", "--fixed-time", "3.0"],
+    ),
+    (
+        # the straight path swaps the bodies through a collision, so the
+        # initial path is bumped until it is feasible
+        "minimize_fixed_time_swap",
+        ["minimize", "--start=-1,0;1,0", "--end=1,0;-1,0", "--energy", "1.0", "--fixed-time", "4.0"],
+    ),
     ("readme_metric_suite", ["metric-suite", "--pairs", "12", "--triples", "6", "--seed", "3"]),
     (
         "readme_hyperbolic",
