@@ -20,9 +20,10 @@ so the discrete value is not yet a certified upper bound on the exact action
 of the piecewise-linear path.
 
 Minimization is an inner/outer scheme: interior nodes by preconditioned
-L-BFGS at fixed T, then a bracketed golden-section search over T followed
-by a secant polish that drives the interior-node energy h = K - U to E
-(the first-order optimality condition in T).
+L-BFGS at fixed T, inside one search over T. That search brackets the
+minimum of the action value in T, then runs a secant from the bracket's
+midpoint that drives the median interior-node energy h = K - U to E (the
+first-order optimality condition in T).
 """
 
 from __future__ import annotations
@@ -232,7 +233,6 @@ def discretization_scale(path: DiscretePath, params: PotentialParams) -> float:
 _MAX_ITERATIONS = 1500  # L-BFGS cap of one inner solve at fixed T
 _MEMORY = 12
 _COLLISION_FLOOR_SCALE = 1e-3  # veto floor over the endpoints' min separation
-_TIME_BRACKET_TOL = 1e-3
 _MAX_POLISH = 12
 # drive |median(h) - E| this far below energy_tol; residual timing noise
 # otherwise dominates comparisons between independently solved paths
@@ -312,6 +312,13 @@ def _kinetic_preconditioner(n_interior: int, n_bodies: int, dim: int, dt: float,
         return z.ravel()
 
     return apply
+
+
+def _check_segments(n_segments: int) -> None:
+    # the inner solve moves the interior nodes and the transversality test
+    # reads their energy, so a path needs at least one interior node
+    if n_segments < 2:
+        raise ValueError(f"a path needs at least 2 segments, got {n_segments}")
 
 
 def _check_endpoints(x: np.ndarray, y: np.ndarray, params: PotentialParams) -> float:
@@ -532,7 +539,7 @@ def minimize_fixed_time(
         energy: Fixed energy level E > 0.
         params: Exponent and masses.
         n_segments: Node count is n_segments + 1 (ignored when init_nodes
-            is given).
+            is given). The path solved needs at least 2 segments.
         settings: Solver tolerances; defaults when None.
         init_nodes: Optional warm-start nodes; endpoints are overwritten.
         newton_rounds: Rounds of exact-Hessian Newton-CG cleanup after a
@@ -544,6 +551,7 @@ def minimize_fixed_time(
         A :class:`MinimizeResult`; check ``converged``.
     """
     settings = settings or SolverSettings()
+    _check_segments(n_segments if init_nodes is None else len(init_nodes) - 1)
     if energy <= 0.0:
         raise ValueError(f"energy must be positive, got {energy}")
     if total_time <= 0.0:
@@ -579,15 +587,16 @@ def minimize_free_time(
     """Minimize the action over paths x -> y and over the duration.
 
     The outer search brackets the optimal T around the free-particle guess
-    ||x - y|| / sqrt(E), shrinks by golden section, then polishes T until the
-    interior-node energy agrees with E (transversality). Near-coincident
-    endpoints short-circuit to a degenerate result at the time floor.
+    ||x - y|| / sqrt(E), then moves T from the bracket's midpoint by a
+    secant until the interior-node energy agrees with E (transversality).
+    Near-coincident endpoints short-circuit to a degenerate result at the
+    time floor.
 
     Args:
         x, y: Endpoint configurations, collision-free.
         energy: Fixed energy level E > 0.
         params: Exponent and masses.
-        n_segments: Segments per path.
+        n_segments: Segments per path, at least 2.
         settings: Solver tolerances; defaults when None.
         restarts: Independent starts (first straight, later ones perturbed);
             the best converged result wins.
@@ -601,6 +610,7 @@ def minimize_free_time(
         found, not a certified upper bound (see the module docstring).
     """
     settings = settings or SolverSettings()
+    _check_segments(n_segments)
     if energy <= 0.0:
         raise ValueError(f"energy must be positive, got {energy}")
     if restarts < 1:
@@ -704,12 +714,8 @@ def _free_time_single(
             "boundary-time-floor", degenerate=True,
         )
 
-    t_best, _ = optimize.golden_section(
-        value_at, lo, hi, rel_tol=_TIME_BRACKET_TOL
-    )
-
-    # transversality polish: the interior-node energy level is monotone
-    # decreasing in T, so a safeguarded secant drives median(h) to E
+    # transversality secant from the bracket's midpoint: the interior-node
+    # energy level is monotone decreasing in T, so it drives median(h) to E
     def mismatch(total_time: float) -> float:
         nodes, _ = solve_at(total_time)
         path = DiscretePath(total_time, nodes)
@@ -717,7 +723,7 @@ def _free_time_single(
 
     tol_abs = settings.energy_tol * energy
     polish_target = min(0.25 * tol_abs, _POLISH_RTOL * energy)
-    t_cur = t_best
+    t_cur = mid
     g_cur = mismatch(t_cur)
     t_prev, g_prev = None, None
     for _ in range(_MAX_POLISH):

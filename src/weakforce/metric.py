@@ -145,7 +145,8 @@ class MetricSuiteConfig:
     endpoint pairs appear.
 
     Raises:
-        ValueError: If n_pairs or n_triples is negative, or both are 0.
+        ValueError: If n_pairs or n_triples is negative, or both are 0, or
+            dim is below 1.
     """
 
     seed: int = 0
@@ -167,6 +168,8 @@ class MetricSuiteConfig:
             )
         if self.n_pairs == 0 and self.n_triples == 0:
             raise ValueError("the suite would check nothing: need at least one pair or triple")
+        if self.dim < 1:
+            raise ValueError(f"configurations need at least 1 dimension, got {self.dim}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Minimization primitives: preconditioned L-BFGS and golden-section search.
+"""Minimization primitive: preconditioned L-BFGS.
 
 The quasi-Newton routine here differs from off-the-shelf variants in two
 ways that the path optimizer depends on:
@@ -19,12 +19,11 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["OptimizeOutcome", "lbfgs", "golden_section"]
+__all__ = ["OptimizeOutcome", "lbfgs"]
 
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
 _CURVATURE_FLOOR = 1e-12
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -162,36 +161,3 @@ def lbfgs(
         converged=status == "converged",
         status=status,
     )
-
-
-def golden_section(
-    fun: Callable[[float], float],
-    a: float,
-    c: float,
-    rel_tol: float = 1e-3,
-    max_iter: int = 200,
-) -> tuple[float, float]:
-    """Golden-section minimization of a unimodal function on [a, c].
-
-    Shrinks the bracket until its width is below rel_tol times the midpoint
-    (plus a small absolute floor). Returns (argmin, min) from the final
-    bracket interior.
-    """
-    if not c > a:
-        raise ValueError(f"need a < c, got [{a}, {c}]")
-    b = c - _INV_PHI * (c - a)
-    d = a + _INV_PHI * (c - a)
-    fb = fun(b)
-    fd = fun(d)
-    for _ in range(max_iter):
-        if (c - a) <= rel_tol * (abs(a + c) / 2.0 + 1e-12):
-            break
-        if fb <= fd:
-            c, d, fd = d, b, fb
-            b = c - _INV_PHI * (c - a)
-            fb = fun(b)
-        else:
-            a, b, fb = b, d, fd
-            d = a + _INV_PHI * (c - a)
-            fd = fun(d)
-    return (b, fb) if fb <= fd else (d, fd)

@@ -346,6 +346,18 @@ def test_fixed_time_warm_start_keeps_endpoints():
     npt.assert_allclose(result.path.end, y, atol=1e-14)
 
 
+def test_fixed_time_segment_check_reads_warm_start_nodes():
+    """With init_nodes the check counts their segments, not n_segments."""
+    p = two_body()
+    x = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    y = np.array([[-1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="at least 2 segments, got 1"):
+        minimize_fixed_time(x, y, 1.0, 1.0, p, init_nodes=straight_path(x, y, 1.0, 1).nodes)
+    init = straight_path(x, y, 1.0, 20).nodes
+    result = minimize_fixed_time(x, y, 1.0, 1.0, p, n_segments=1, init_nodes=init)
+    assert result.path.n_segments == 20
+
+
 # ---------------------------------------------------------------------------
 # free-time minimization
 
@@ -373,6 +385,54 @@ def test_free_time_transversality():
     dev = np.abs(result.energy_profile - energy).max()
     assert dev <= settings.energy_tol * energy
     assert abs(result.dA_dT) < 1e-4 * (1.0 + result.value)
+
+
+# (params, x, y, energy, n_segments): the transversality case above and a
+# three-body crossing at M = 200
+SEARCH_CASES = {
+    "two-body": (
+        PotentialParams(0.5, np.array([1.0, 2.0])),
+        np.array([[0.0, 0.0], [4.0, 0.0]]),
+        np.array([[0.5, 2.0], [5.0, 2.5]]),
+        1.7,
+        120,
+    ),
+    "three-body": (
+        PotentialParams(0.5, np.array([1.0, 1.0, 1.0])),
+        np.array([[-2.0, 0.0], [0.0, 1.5], [2.0, 0.0]]),
+        np.array([[-2.0, 3.0], [0.0, -1.5], [2.0, 3.0]]),
+        2.0,
+        200,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+def test_free_time_search_inner_solve_count(monkeypatch, case):
+    """The search over T is a bracket, then a secant: a dozen inner solves, not two dozen."""
+    from weakforce import action
+
+    p, x, y, energy, m = SEARCH_CASES[case]
+    calls = []
+    inner = action._solve_interior
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(action, "_solve_interior", counted)
+    result = minimize_free_time(x, y, energy, p, n_segments=m)
+    assert result.converged
+    assert len(calls) <= 14
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+def test_free_time_median_energy_on_secant_target(case):
+    """A converged result sits on the secant's own target, |median(h) - E| <= 1e-6 E."""
+    p, x, y, energy, m = SEARCH_CASES[case]
+    result = minimize_free_time(x, y, energy, p, n_segments=m)
+    assert result.converged
+    assert abs(float(np.median(result.energy_profile)) - energy) <= 1e-6 * energy
 
 
 def test_free_time_action_between_bounds():

@@ -320,6 +320,7 @@ def test_validate_geometry_vacuous_or_invalid_plan_exits_2(tmp_path, capsys, fla
         (("--pairs", "0", "--triples", "0"), "check nothing"),
         (("--pairs", "-2", "--triples", "0"), "must not be negative"),
         (("--pairs", "1", "--triples", "-1"), "must not be negative"),
+        (("--dim", "0"), "at least 1 dimension"),
     ],
 )
 def test_metric_suite_vacuous_or_invalid_plan_exits_2(tmp_path, capsys, flags, message):
@@ -329,3 +330,21 @@ def test_metric_suite_vacuous_or_invalid_plan_exits_2(tmp_path, capsys, flags, m
     assert message in captured.err
     assert "status: PASS" not in captured.out
     assert not (tmp_path / "metric_report.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("phi", f"--start={PAIR_START}", f"--end={PAIR_END}", "--segments", "1"),
+        ("phi", f"--start={PAIR_START}", f"--end={PAIR_END}", "--segments", "0"),
+        ("minimize", f"--start={PAIR_START}", f"--end={PAIR_END}", "--fixed-time", "2",
+         "--segments", "1"),
+        ("metric-suite", "--pairs", "1", "--triples", "0", "--segments", "1"),
+        ("hyperbolic", "--legs", "1", "--segments", "1"),
+    ],
+)
+def test_fewer_than_two_segments_exits_2(tmp_path, capsys, argv):
+    code = run_cli(*argv, "--output-dir", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"at least 2 segments, got {argv[-1]}" in err

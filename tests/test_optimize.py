@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from weakforce.optimize import golden_section, lbfgs
+from weakforce.optimize import lbfgs
 
 
 def test_lbfgs_quadratic_exact():
@@ -89,21 +89,3 @@ def test_lbfgs_iteration_cap_reported():
     out = lbfgs(fg, np.array([-1.2, 1.0]), max_iterations=3)
     assert not out.converged
     assert out.status == "max-iterations"
-
-
-def test_golden_section_parabola():
-    arg, val = golden_section(lambda t: (t - 2.5) ** 2 + 1.0, 0.1, 10.0, rel_tol=1e-6)
-    npt.assert_allclose(arg, 2.5, rtol=1e-4)
-    npt.assert_allclose(val, 1.0, rtol=1e-6)
-
-
-def test_golden_section_asymmetric_function():
-    # minimum of d^2/T + E T at T = d/sqrt(E)
-    d, e = 3.0, 4.0
-    arg, _ = golden_section(lambda t: d * d / t + e * t, 0.05, 50.0, rel_tol=1e-6)
-    npt.assert_allclose(arg, d / math.sqrt(e), rtol=1e-4)
-
-
-def test_golden_section_rejects_bad_bracket():
-    with pytest.raises(ValueError):
-        golden_section(lambda t: t * t, 2.0, 1.0)
