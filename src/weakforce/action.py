@@ -20,10 +20,11 @@ so the discrete value is not yet a certified upper bound on the exact action
 of the piecewise-linear path.
 
 Minimization is an inner/outer scheme: interior nodes by preconditioned
-L-BFGS at fixed T, inside one search over T. That search brackets the
-minimum of the action value in T, then runs a secant from the bracket's
-midpoint that drives the median interior-node energy h = K - U to E (the
-first-order optimality condition in T).
+L-BFGS at fixed T, inside one search over T. That search runs a secant that
+drives the median interior-node energy h = K - U to E (the first-order
+optimality condition in T). A cold start begins it at the midpoint of a
+bracket on the action value; a warm start begins it at the warm path's own
+optimal duration.
 """
 
 from __future__ import annotations
@@ -418,7 +419,6 @@ def _newton_cleanup(
     apply_h0,
 ):
     """Newton-CG cleanup of a converged interior solve; returns (nodes, grad norm)."""
-    n_interior = nodes.shape[0] - 2
     shape = nodes[1:-1].shape
     best = nodes.copy()
     _, grad, _, _ = _value_grad_parts(best, total_time, energy, params)
@@ -434,22 +434,17 @@ def _newton_cleanup(
             rel_tol=_NEWTON_CG_TOL,
             max_iter=_NEWTON_MAX_CG,
         )
-        improved = False
-        alpha = 1.0
-        for _ in range(12):
-            trial = best.copy()
-            trial[1:-1] = best[1:-1] + alpha * step.reshape(shape)
-            parts = _value_grad_parts(trial, total_time, energy, params, floor)
-            if parts is not None:
-                tgrad = parts[1]
-                tnorm = float(np.linalg.norm(tgrad.ravel()))
-                if tnorm < gnorm:
-                    best, grad, gnorm = trial, tgrad, tnorm
-                    improved = True
-                    break
-            alpha *= 0.5
-        if not improved:
+        # a full step that does not lower |g| means the gradient sits at its
+        # roundoff floor; shorter steps would only trade noise
+        trial = best.copy()
+        trial[1:-1] += step.reshape(shape)
+        parts = _value_grad_parts(trial, total_time, energy, params, floor)
+        if parts is None:
             break
+        tnorm = float(np.linalg.norm(parts[1].ravel()))
+        if tnorm >= gnorm:
+            break
+        best, grad, gnorm = trial, parts[1], tnorm
     return best, gnorm
 
 
@@ -542,8 +537,9 @@ def minimize_fixed_time(
             is given). The path solved needs at least 2 segments.
         settings: Solver tolerances; defaults when None.
         init_nodes: Optional warm-start nodes; endpoints are overwritten.
-        newton_rounds: Rounds of exact-Hessian Newton-CG cleanup after a
-            converged L-BFGS solve (0 disables). Long paths leave L-BFGS with
+        newton_rounds: Most rounds of exact-Hessian Newton-CG cleanup after
+            a converged L-BFGS solve (0 disables); a full step that does not
+            lower the gradient norm ends it. Long paths leave L-BFGS with
             error along low-frequency modes (curvature ~ 1/T^2) that
             pointwise comparisons of two paths need removed.
 
@@ -603,6 +599,9 @@ def minimize_free_time(
         rng: Source for restart perturbations; a fixed default otherwise.
         init_nodes: Optional warm-start nodes of shape (n_segments+1, N, n)
             for the first attempt; endpoints are overwritten with x and y.
+            The bracket is skipped: the secant starts at their own optimal
+            duration sqrt(S / (U + E)), S and U being the kinetic and
+            potential parts of their action at T = 1.
 
     Returns:
         A :class:`MinimizeResult` whose ``action.value`` estimates the
@@ -685,37 +684,38 @@ def _free_time_single(
         nodes, _ = solve_at(total_time)
         return _value_grad_parts(nodes, total_time, energy, params)[0].value
 
-    lo, mid, hi = 0.5 * t_guess, t_guess, 2.0 * t_guess
-    lo = max(lo, settings.time_floor)
-    f_lo, f_mid, f_hi = value_at(lo), value_at(mid), value_at(hi)
-    boundary = False
-    for _ in range(80):
-        if f_lo < f_mid:
-            if lo <= settings.time_floor * (1.0 + 1e-12):
-                boundary = True
+    if init_nodes is not None:
+        # A(T) = S/T + T (U + E) for the warm path's shape, S and U taken at T = 1
+        act = _value_grad_parts(warm["nodes"], 1.0, energy, params)[0]
+        t_cur = max(math.sqrt(act.kinetic / (act.potential + energy)), settings.time_floor)
+    else:
+        lo, mid, hi = 0.5 * t_guess, t_guess, 2.0 * t_guess
+        lo = max(lo, settings.time_floor)
+        f_lo, f_mid, f_hi = value_at(lo), value_at(mid), value_at(hi)
+        for _ in range(80):
+            if f_lo < f_mid:
+                if lo <= settings.time_floor * (1.0 + 1e-12):
+                    nodes, outcome = solve_at(settings.time_floor)
+                    return _assemble_result(
+                        nodes, settings.time_floor, energy, params, outcome,
+                        "boundary-time-floor", degenerate=True,
+                    )
+                hi, f_hi, mid, f_mid = mid, f_mid, lo, f_lo
+                lo = max(0.5 * lo, settings.time_floor)
+                f_lo = value_at(lo)
+            elif f_hi < f_mid:
+                lo, f_lo, mid, f_mid = mid, f_mid, hi, f_hi
+                hi *= 2.0
+                if hi > 1e7 * t_guess:
+                    nodes, outcome = solve_at(mid)
+                    return _assemble_result(nodes, mid, energy, params, outcome, "bracket-failure")
+                f_hi = value_at(hi)
+            else:
                 break
-            hi, f_hi, mid, f_mid = mid, f_mid, lo, f_lo
-            lo = max(0.5 * lo, settings.time_floor)
-            f_lo = value_at(lo)
-        elif f_hi < f_mid:
-            lo, f_lo, mid, f_mid = mid, f_mid, hi, f_hi
-            hi *= 2.0
-            if hi > 1e7 * t_guess:
-                nodes, outcome = solve_at(mid)
-                return _assemble_result(nodes, mid, energy, params, outcome, "bracket-failure")
-            f_hi = value_at(hi)
-        else:
-            break
+        t_cur = mid
 
-    if boundary:
-        nodes, outcome = solve_at(settings.time_floor)
-        return _assemble_result(
-            nodes, settings.time_floor, energy, params, outcome,
-            "boundary-time-floor", degenerate=True,
-        )
-
-    # transversality secant from the bracket's midpoint: the interior-node
-    # energy level is monotone decreasing in T, so it drives median(h) to E
+    # transversality secant: the interior-node energy level is monotone
+    # decreasing in T, so it drives median(h) to E
     def mismatch(total_time: float) -> float:
         nodes, _ = solve_at(total_time)
         path = DiscretePath(total_time, nodes)
@@ -723,7 +723,6 @@ def _free_time_single(
 
     tol_abs = settings.energy_tol * energy
     polish_target = min(0.25 * tol_abs, _POLISH_RTOL * energy)
-    t_cur = mid
     g_cur = mismatch(t_cur)
     t_prev, g_prev = None, None
     for _ in range(_MAX_POLISH):

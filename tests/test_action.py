@@ -435,6 +435,69 @@ def test_free_time_median_energy_on_secant_target(case):
     assert abs(float(np.median(result.energy_profile)) - energy) <= 1e-6 * energy
 
 
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+def test_free_time_warm_start_skips_the_bracket(monkeypatch, case):
+    """Warm-started from a converged solve's nodes, the search needs a few secant steps."""
+    from weakforce import action
+
+    p, x, y, energy, m = SEARCH_CASES[case]
+    cold = minimize_free_time(x, y, energy, p, n_segments=m)
+    calls = []
+    inner = action._solve_interior
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(action, "_solve_interior", counted)
+    warm = minimize_free_time(x, y, energy, p, n_segments=m, init_nodes=cold.path.nodes)
+    assert cold.converged and warm.converged
+    assert len(calls) <= 4
+    assert abs(float(np.median(warm.energy_profile)) - energy) <= 1e-6 * energy
+    npt.assert_allclose(warm.value, cold.value, rtol=1e-9)
+
+
+def test_warm_start_duration_minimizes_action_of_its_shape():
+    """T0 = sqrt(S / (U + E)) from the parts at T = 1 minimizes A over rescaled durations."""
+    rng = np.random.default_rng(11)
+    p = PotentialParams(0.5, np.array([1.0, 1.5, 2.0]))
+    energy = 1.3
+    for _ in range(5):
+        nodes = wiggled_path(rng, n_bodies=3).nodes
+        unit = path_action(DiscretePath(1.0, nodes), energy, p)
+        t0 = math.sqrt(unit.kinetic / (unit.potential + energy))
+        at_t0 = path_action(DiscretePath(t0, nodes), energy, p).value
+        for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+            assert path_action(DiscretePath(t0 * factor, nodes), energy, p).value >= at_t0
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+def test_newton_cleanup_stops_at_the_roundoff_floor(monkeypatch, case):
+    """One evaluation per round at most, and the gradient norm never grows."""
+    from weakforce import action
+
+    p, x, y, energy, m = SEARCH_CASES[case]
+    lbfgs = minimize_fixed_time(x, y, 2.0, energy, p, n_segments=m)
+    assert lbfgs.converged
+    nodes = lbfgs.path.nodes
+    g_in = float(np.linalg.norm(path_action_gradient(lbfgs.path, energy, p)[0]))
+    apply_h0 = action._kinetic_preconditioner(m - 1, x.shape[0], x.shape[1], 2.0 / m, p.masses)
+    evals = []
+    evaluator = action._value_grad_parts
+
+    def counted(*args, **kwargs):
+        evals.append(1)
+        return evaluator(*args, **kwargs)
+
+    monkeypatch.setattr(action, "_value_grad_parts", counted)
+    for rounds in (0, 1, 3, 8):
+        evals.clear()
+        out, g_out = action._newton_cleanup(nodes, 2.0, energy, p, 0.0, rounds, apply_h0)
+        assert len(evals) <= rounds + 1
+        assert g_out <= g_in
+        npt.assert_array_equal(out[[0, -1]], nodes[[0, -1]])
+
+
 def test_free_time_action_between_bounds():
     p = two_body(0.6)
     x = np.array([[-1.0, 0.0], [1.0, 0.0]])

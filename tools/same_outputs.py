@@ -67,6 +67,14 @@ CALLS = [
         "hyperbolic_alpha_0_6",
         ["hyperbolic", "--shape", "triangle", "--masses", "1,1.3,1.8", "--alpha", "0.6", "--energy", "2"],
     ),
+    (
+        # a second geometry at a soft exponent, where the duration is least determined
+        "hyperbolic_antipodal_alpha_0_3",
+        [
+            "hyperbolic", "--shape", "antipodal", "--masses", "1,2", "--alpha", "0.3",
+            "--energy", "1", "--legs", "4",
+        ],
+    ),
     ("metric_suite_small", ["metric-suite", "--pairs", "3", "--triples", "2"]),
     ("validate_geometry_200", ["validate-geometry", "--samples", "200"]),
 ]
