@@ -24,7 +24,8 @@ L-BFGS at fixed T, inside one search over T. That search runs a secant that
 drives the median interior-node energy h = K - U to E (the first-order
 optimality condition in T). A cold start begins it at the midpoint of a
 bracket on the action value; a warm start begins it at the warm path's own
-optimal duration.
+optimal duration. On request, a converged search ends with exact-Hessian
+Newton-CG rounds on the nodes at the duration it found.
 """
 
 from __future__ import annotations
@@ -416,10 +417,13 @@ def _newton_cleanup(
     params: PotentialParams,
     floor: float,
     rounds: int,
-    apply_h0,
 ):
     """Newton-CG cleanup of a converged interior solve; returns (nodes, grad norm)."""
     shape = nodes[1:-1].shape
+    n_interior, n_bodies, dim = shape
+    apply_h0 = _kinetic_preconditioner(
+        n_interior, n_bodies, dim, total_time / (n_interior + 1), params.masses
+    )
     best = nodes.copy()
     _, grad, _, _ = _value_grad_parts(best, total_time, energy, params)
     gnorm = float(np.linalg.norm(grad.ravel()))
@@ -455,7 +459,6 @@ def _solve_interior(
     params: PotentialParams,
     floor: float,
     settings: SolverSettings,
-    newton_rounds: int = 0,
 ):
     """Inner minimization over interior nodes at fixed T."""
     m_plus_1, n_bodies, dim = nodes0.shape
@@ -486,13 +489,12 @@ def _solve_interior(
     nodes = nodes0.copy()
     nodes[1:-1] = outcome.x.reshape(n_interior, n_bodies, dim)
     nodes[0], nodes[-1] = endpoints
-    if newton_rounds > 0 and outcome.converged:
-        nodes, gnorm = _newton_cleanup(
-            nodes, total_time, energy, params, floor, newton_rounds, apply_h0
-        )
-        if gnorm < outcome.grad_norm:
-            outcome = replace(outcome, x=nodes[1:-1].ravel(), grad_norm=gnorm)
     return nodes, outcome
+
+
+def _inner_status(outcome: optimize.OptimizeOutcome) -> str:
+    """Result status of an inner solve: its L-BFGS status, the iteration cap renamed."""
+    return "inner-not-converged" if outcome.status == "max-iterations" else outcome.status
 
 
 def _assemble_result(
@@ -523,50 +525,35 @@ def minimize_fixed_time(
     params: PotentialParams,
     n_segments: int = 200,
     settings: SolverSettings | None = None,
-    init_nodes: np.ndarray | None = None,
-    newton_rounds: int = 0,
 ) -> MinimizeResult:
     """Minimize the action over paths x -> y with the duration held fixed.
+
+    The L-BFGS solve starts from the straight path, bumped off collisions
+    when it passes too near one.
 
     Args:
         x, y: Endpoint configurations, collision-free.
         total_time: Path duration T > 0.
         energy: Fixed energy level E > 0.
         params: Exponent and masses.
-        n_segments: Node count is n_segments + 1 (ignored when init_nodes
-            is given). The path solved needs at least 2 segments.
+        n_segments: Node count is n_segments + 1; at least 2.
         settings: Solver tolerances; defaults when None.
-        init_nodes: Optional warm-start nodes; endpoints are overwritten.
-        newton_rounds: Most rounds of exact-Hessian Newton-CG cleanup after
-            a converged L-BFGS solve (0 disables); a full step that does not
-            lower the gradient norm ends it. Long paths leave L-BFGS with
-            error along low-frequency modes (curvature ~ 1/T^2) that
-            pointwise comparisons of two paths need removed.
 
     Returns:
         A :class:`MinimizeResult`; check ``converged``.
     """
     settings = settings or SolverSettings()
-    _check_segments(n_segments if init_nodes is None else len(init_nodes) - 1)
+    _check_segments(n_segments)
     if energy <= 0.0:
         raise ValueError(f"energy must be positive, got {energy}")
     if total_time <= 0.0:
         raise ValueError(f"total_time must be positive, got {total_time}")
     floor = _COLLISION_FLOOR_SCALE * _check_endpoints(x, y, params)
-    if init_nodes is None:
-        nodes0 = straight_path(x, y, total_time, n_segments).nodes
-    else:
-        nodes0 = np.array(init_nodes, dtype=float)
-        nodes0[0], nodes0[-1] = x, y
+    nodes0 = straight_path(x, y, total_time, n_segments).nodes
     bump_scale = max(weighted_distance(x, y, params.masses), 1.0)
     nodes0 = _feasible_nodes(nodes0, floor, bump_scale, np.random.default_rng(0))
-    nodes, outcome = _solve_interior(
-        nodes0, total_time, energy, params, floor, settings, newton_rounds
-    )
-    status = "converged" if outcome.converged else (
-        outcome.status if outcome.status != "max-iterations" else "inner-not-converged"
-    )
-    return _assemble_result(nodes, total_time, energy, params, outcome, status)
+    nodes, outcome = _solve_interior(nodes0, total_time, energy, params, floor, settings)
+    return _assemble_result(nodes, total_time, energy, params, outcome, _inner_status(outcome))
 
 
 def minimize_free_time(
@@ -579,14 +566,17 @@ def minimize_free_time(
     restarts: int = 1,
     rng: np.random.Generator | None = None,
     init_nodes: np.ndarray | None = None,
+    newton_rounds: int = 0,
 ) -> MinimizeResult:
     """Minimize the action over paths x -> y and over the duration.
 
     The outer search brackets the optimal T around the free-particle guess
     ||x - y|| / sqrt(E), then moves T from the bracket's midpoint by a
     secant until the interior-node energy agrees with E (transversality).
-    Near-coincident endpoints short-circuit to a degenerate result at the
-    time floor.
+    A search that ends converged may then polish its nodes at the T it
+    found (newton_rounds) and test transversality again on the polished
+    nodes. Near-coincident endpoints short-circuit to a degenerate result
+    at the time floor.
 
     Args:
         x, y: Endpoint configurations, collision-free.
@@ -602,6 +592,12 @@ def minimize_free_time(
             The bracket is skipped: the secant starts at their own optimal
             duration sqrt(S / (U + E)), S and U being the kinetic and
             potential parts of their action at T = 1.
+        newton_rounds: Most rounds of exact-Hessian Newton-CG cleanup of a
+            converged search's nodes at its final T (0 disables); a full
+            step that does not lower the gradient norm ends it. Long paths
+            leave L-BFGS with error along low-frequency modes (curvature
+            ~ 1/T^2) that pointwise comparisons of two paths need removed.
+            A search that ends in any other status is returned unpolished.
 
     Returns:
         A :class:`MinimizeResult` whose ``action.value`` estimates the
@@ -643,7 +639,7 @@ def minimize_free_time(
     for attempt in range(restarts):
         result = _free_time_single(
             x, y, energy, params, n_segments, settings, floor, d, attempt, rng,
-            init_nodes if attempt == 0 else None,
+            init_nodes if attempt == 0 else None, newton_rounds,
         )
         if best is None:
             best = result
@@ -657,7 +653,7 @@ def minimize_free_time(
 
 def _free_time_single(
     x, y, energy, params, n_segments, settings: SolverSettings, floor, dist, attempt, rng,
-    init_nodes=None,
+    init_nodes=None, newton_rounds=0,
 ) -> MinimizeResult:
     t_guess = max(dist / math.sqrt(energy), 10.0 * settings.time_floor)
     if init_nodes is not None:
@@ -739,14 +735,21 @@ def _free_time_single(
         t_cur = t_next
         g_cur = mismatch(t_cur)
 
+    def misses(nodes) -> bool:
+        prof = energy_profile(DiscretePath(t_cur, nodes), params)
+        return float(np.max(np.abs(prof - energy))) > tol_abs
+
     nodes, outcome = solve_at(t_cur)
-    path = DiscretePath(t_cur, nodes)
-    prof = energy_profile(path, params)
-    max_miss = float(np.max(np.abs(prof - energy)))
-    if not outcome.converged:
-        status = outcome.status if outcome.status != "max-iterations" else "inner-not-converged"
-    elif max_miss > tol_abs:
+    status = _inner_status(outcome)
+    if status == "converged" and misses(nodes):
         status = "transversality-miss"
-    else:
-        status = "converged"
+    if status == "converged" and newton_rounds > 0:
+        # the paths of the other durations visited are done with; free them
+        # before the Newton-CG steps allocate
+        cache.clear()
+        nodes, gnorm = _newton_cleanup(nodes, t_cur, energy, params, floor, newton_rounds)
+        if gnorm < outcome.grad_norm:
+            outcome = replace(outcome, grad_norm=gnorm)
+        if misses(nodes):
+            status = "transversality-miss"
     return _assemble_result(nodes, t_cur, energy, params, outcome, status)

@@ -16,7 +16,7 @@ both conventions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .action import (
     DiscretePath,
     MinimizeResult,
     SolverSettings,
-    minimize_fixed_time,
     minimize_free_time,
     straight_path,
 )
@@ -44,8 +43,11 @@ __all__ = [
 ]
 
 _GAP_GRID = 257
-# Newton-CG rounds of the fixed-duration re-solve of each leg
+# Newton-CG rounds that end each converged leg's duration search
 _POLISH_NEWTON_ROUNDS = 3
+# cap on per-leg segment counts; a schedule long enough to hit it trades
+# early-window comparability for cost
+_MAX_SEGMENTS = 32000
 
 
 def default_radii(
@@ -84,7 +86,6 @@ class HyperbolicRun:
     radii: tuple[float, ...]
     legs: tuple[MinimizeResult, ...]
     completed: bool
-    base_segments: int
 
     @property
     def early_window(self) -> float:
@@ -129,7 +130,6 @@ def construct(
     ratio: float = 2.0,
     base_factor: float = 70.0,
     n_segments: int = 1600,
-    max_segments: int = 32000,
     settings: SolverSettings | None = None,
     restarts: int = 1,
     rng: np.random.Generator | None = None,
@@ -140,11 +140,11 @@ def construct(
     extending the previous leg along the ray. The first leg fixes the node
     spacing; later legs keep it (duration-proportional segment counts) so
     that successive approximants discretize the early window identically and
-    their pointwise gaps reflect the paths, not the grids. After the
-    duration search every leg is re-solved at fixed duration with an
-    exact-Hessian polish: long legs are so soft along low-frequency modes
-    (curvature ~ 1/T^2) that the quasi-newton stage alone leaves position
-    errors far above the gap scale.
+    their pointwise gaps reflect the paths, not the grids, up to a cap of
+    _MAX_SEGMENTS. A converged duration search ends with exact-Hessian
+    Newton-CG rounds at the duration it found: long legs are so soft along
+    low-frequency modes (curvature ~ 1/T^2) that the quasi-Newton stage
+    alone leaves position errors far above the gap scale.
 
     Args:
         x0: Start configuration, collision-free.
@@ -159,8 +159,6 @@ def construct(
             must resolve the start's near field or the interior-node energy
             check fails; the default suits the default radius schedule for
             few-body starts of moderate size.
-        max_segments: Cap on per-leg segment counts. A schedule long enough
-            to hit the cap trades early-window comparability for cost.
         settings, restarts, rng: Passed to the free-time minimizer.
 
     Returns:
@@ -208,14 +206,13 @@ def construct(
             # remaining distance covered at the asymptotic speed; the
             # previous duration anchors the near-field part
             t_est = t_prev + (dists[k] - dists[k - 1]) / sqrt_e
-            m_k = min(max_segments, max(n_segments, int(round(t_est / dt_spacing))))
+            m_k = min(_MAX_SEGMENTS, max(n_segments, int(round(t_est / dt_spacing))))
             init = _warm_nodes(legs[-1].path, target, t_est, m_k)
         result = minimize_free_time(
             x0, target, energy, params,
             n_segments=m_k, settings=settings, restarts=restarts, rng=rng, init_nodes=init,
+            newton_rounds=_POLISH_NEWTON_ROUNDS,
         )
-        if result.converged:
-            result = _polish_leg(result, x0, target, energy, params, settings)
         legs.append(result)
         if not result.converged:
             completed = False
@@ -232,41 +229,7 @@ def construct(
         radii=radii[: len(legs)],
         legs=tuple(legs),
         completed=completed,
-        base_segments=n_segments,
     )
-
-
-def _polish_leg(
-    free_result: MinimizeResult,
-    x0: np.ndarray,
-    target: np.ndarray,
-    energy: float,
-    params: PotentialParams,
-    settings: SolverSettings,
-) -> MinimizeResult:
-    """Re-solve a leg at its found duration with the exact-Hessian polish.
-
-    Keeps the free-time transversality verdict: the polished path must still
-    satisfy the interior-node energy tolerance.
-    """
-    path = free_result.path
-    fixed = minimize_fixed_time(
-        x0,
-        target,
-        path.total_time,
-        energy,
-        params,
-        n_segments=path.n_segments,
-        init_nodes=path.nodes,
-        settings=settings,
-        newton_rounds=_POLISH_NEWTON_ROUNDS,
-    )
-    if not fixed.converged:
-        return free_result
-    miss = float(np.max(np.abs(fixed.energy_profile - energy)))
-    if miss > settings.energy_tol * energy:
-        return replace(fixed, converged=False, status="transversality-miss")
-    return fixed
 
 
 def approximant_gaps(run: HyperbolicRun, window: float | None = None) -> np.ndarray:

@@ -303,30 +303,6 @@ def test_solver_settings_fields():
     ]
 
 
-def test_fixed_time_newton_rounds():
-    p = PotentialParams(0.5, np.array([1.0, 1.0, 1.0]))
-    x = np.array([[-2.0, 0.0], [0.0, 1.5], [2.0, 0.0]])
-    y = np.array([[-2.0, 3.0], [0.0, -1.5], [2.0, 3.0]])
-    default = minimize_fixed_time(x, y, 2.5, 2.0, p, n_segments=80)
-    plain = minimize_fixed_time(x, y, 2.5, 2.0, p, n_segments=80, newton_rounds=0)
-    polished = minimize_fixed_time(x, y, 2.5, 2.0, p, n_segments=80, newton_rounds=3)
-
-    # zero rounds is the default call, bit for bit
-    assert plain.path.nodes.tobytes() == default.path.nodes.tobytes()
-    assert (plain.value, plain.grad_norm, plain.iterations, plain.status) == (
-        default.value, default.grad_norm, default.iterations, default.status,
-    )
-
-    assert plain.converged and polished.converged
-    assert polished.path.total_time == plain.path.total_time == 2.5
-    assert polished.path.n_segments == 80
-    npt.assert_array_equal(polished.path.start, x)
-    npt.assert_array_equal(polished.path.end, y)
-    assert polished.grad_norm <= plain.grad_norm
-    # the exact-Hessian steps do more than the L-BFGS stop already did
-    assert polished.grad_norm < 1e-2 * plain.grad_norm
-
-
 def test_fixed_time_minimizer_el_residual_near_discretization_scale():
     p = two_body()
     x = np.array([[-1.5, 0.0], [1.5, 0.0]])
@@ -336,30 +312,18 @@ def test_fixed_time_minimizer_el_residual_near_discretization_scale():
     assert result.el_residual <= 10.0 * discretization_scale(result.path, p)
 
 
-def test_fixed_time_warm_start_keeps_endpoints():
+# ---------------------------------------------------------------------------
+# free-time minimization
+
+
+def test_free_time_warm_start_keeps_endpoints():
     p = two_body()
     x = np.array([[-1.0, 0.0], [1.0, 0.0]])
     y = np.array([[-1.0, 1.0], [1.0, 1.0]])
     init = straight_path(x + 0.3, y - 0.2, 1.0, 40).nodes
-    result = minimize_fixed_time(x, y, 1.0, 1.0, p, n_segments=40, init_nodes=init)
-    npt.assert_allclose(result.path.start, x, atol=1e-14)
-    npt.assert_allclose(result.path.end, y, atol=1e-14)
-
-
-def test_fixed_time_segment_check_reads_warm_start_nodes():
-    """With init_nodes the check counts their segments, not n_segments."""
-    p = two_body()
-    x = np.array([[-1.0, 0.0], [1.0, 0.0]])
-    y = np.array([[-1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(ValueError, match="at least 2 segments, got 1"):
-        minimize_fixed_time(x, y, 1.0, 1.0, p, init_nodes=straight_path(x, y, 1.0, 1).nodes)
-    init = straight_path(x, y, 1.0, 20).nodes
-    result = minimize_fixed_time(x, y, 1.0, 1.0, p, n_segments=1, init_nodes=init)
-    assert result.path.n_segments == 20
-
-
-# ---------------------------------------------------------------------------
-# free-time minimization
+    result = minimize_free_time(x, y, 1.0, p, n_segments=40, init_nodes=init)
+    npt.assert_array_equal(result.path.start, x)
+    npt.assert_array_equal(result.path.end, y)
 
 
 def test_free_time_far_pair_matches_free_particle():
@@ -471,6 +435,68 @@ def test_warm_start_duration_minimizes_action_of_its_shape():
             assert path_action(DiscretePath(t0 * factor, nodes), energy, p).value >= at_t0
 
 
+def test_free_time_newton_rounds():
+    p, x, y, energy, _ = SEARCH_CASES["three-body"]
+    default = minimize_free_time(x, y, energy, p, n_segments=80)
+    plain = minimize_free_time(x, y, energy, p, n_segments=80, newton_rounds=0)
+    polished = minimize_free_time(x, y, energy, p, n_segments=80, newton_rounds=3)
+
+    # zero rounds is the default call, bit for bit
+    assert plain.path.nodes.tobytes() == default.path.nodes.tobytes()
+    assert (plain.value, plain.grad_norm, plain.iterations, plain.status) == (
+        default.value, default.grad_norm, default.iterations, default.status,
+    )
+
+    assert plain.converged and polished.converged
+    # the polish runs at the duration the search found
+    assert polished.path.total_time == plain.path.total_time
+    assert polished.path.n_segments == 80
+    npt.assert_array_equal(polished.path.start, x)
+    npt.assert_array_equal(polished.path.end, y)
+    # the exact-Hessian steps do more than the L-BFGS stop already did
+    assert polished.grad_norm < 1e-2 * plain.grad_norm
+
+
+def _count_newton_cleanups(monkeypatch):
+    from weakforce import action
+
+    calls = []
+    cleanup = action._newton_cleanup
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return cleanup(*args, **kwargs)
+
+    monkeypatch.setattr(action, "_newton_cleanup", counted)
+    return calls
+
+
+def test_free_time_polish_runs_once_after_a_converged_search(monkeypatch):
+    """The polish is the search's last step, not part of every secant solve."""
+    p, x, y, energy, m = SEARCH_CASES["three-body"]
+    calls = _count_newton_cleanups(monkeypatch)
+    result = minimize_free_time(x, y, energy, p, n_segments=m, newton_rounds=3)
+    assert result.converged
+    assert calls == [result.path.total_time]
+
+
+def test_free_time_failed_search_is_returned_unpolished(monkeypatch):
+    # an energy tolerance no discrete profile meets ends the search in a miss
+    p, x, y, energy, m = SEARCH_CASES["three-body"]
+    settings = SolverSettings(energy_tol=1e-9)
+    plain = minimize_free_time(x, y, energy, p, n_segments=m, settings=settings)
+    calls = _count_newton_cleanups(monkeypatch)
+    result = minimize_free_time(
+        x, y, energy, p, n_segments=m, settings=settings, newton_rounds=3
+    )
+    assert result.status == plain.status == "transversality-miss"
+    assert calls == []
+    assert result.path.nodes.tobytes() == plain.path.nodes.tobytes()
+    assert (result.value, result.grad_norm, result.path.total_time) == (
+        plain.value, plain.grad_norm, plain.path.total_time,
+    )
+
+
 @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
 def test_newton_cleanup_stops_at_the_roundoff_floor(monkeypatch, case):
     """One evaluation per round at most, and the gradient norm never grows."""
@@ -481,7 +507,6 @@ def test_newton_cleanup_stops_at_the_roundoff_floor(monkeypatch, case):
     assert lbfgs.converged
     nodes = lbfgs.path.nodes
     g_in = float(np.linalg.norm(path_action_gradient(lbfgs.path, energy, p)[0]))
-    apply_h0 = action._kinetic_preconditioner(m - 1, x.shape[0], x.shape[1], 2.0 / m, p.masses)
     evals = []
     evaluator = action._value_grad_parts
 
@@ -492,7 +517,7 @@ def test_newton_cleanup_stops_at_the_roundoff_floor(monkeypatch, case):
     monkeypatch.setattr(action, "_value_grad_parts", counted)
     for rounds in (0, 1, 3, 8):
         evals.clear()
-        out, g_out = action._newton_cleanup(nodes, 2.0, energy, p, 0.0, rounds, apply_h0)
+        out, g_out = action._newton_cleanup(nodes, 2.0, energy, p, 0.0, rounds)
         assert len(evals) <= rounds + 1
         assert g_out <= g_in
         npt.assert_array_equal(out[[0, -1]], nodes[[0, -1]])

@@ -26,10 +26,32 @@ def pair_setup():
 
 def small_run(radii=(8.0, 16.0, 32.0), n_segments=300, **kwargs):
     x0, shape, params = pair_setup()
-    return construct(
-        x0, shape, 1.0, params, radii=radii, n_segments=n_segments,
-        max_segments=4000, **kwargs
-    )
+    run = construct(x0, shape, 1.0, params, radii=radii, n_segments=n_segments, **kwargs)
+    # far below the module's segment cap, which these schedules never reach
+    assert all(leg.path.n_segments < 4000 for leg in run.legs)
+    return run
+
+
+def test_construct_makes_one_minimizer_call_per_leg(monkeypatch):
+    from weakforce import action, hyperbolic
+
+    free_calls, fixed_calls = [], []
+    free = hyperbolic.minimize_free_time
+
+    def counted_free(*args, **kwargs):
+        free_calls.append(1)
+        return free(*args, **kwargs)
+
+    monkeypatch.setattr(hyperbolic, "minimize_free_time", counted_free)
+    # patch the name in both modules, so that a call through either counts
+    for module in (action, hyperbolic):
+        monkeypatch.setattr(
+            module, "minimize_fixed_time", lambda *a, **k: fixed_calls.append(1), raising=False
+        )
+    run = small_run()
+    assert run.completed
+    assert len(free_calls) == len(run.legs) == 3
+    assert fixed_calls == []
 
 
 def test_default_radii_schedule():
@@ -170,9 +192,7 @@ def test_chain_with_unequal_masses_triangle():
     params = PotentialParams(0.6, np.array([1.0, 1.3, 1.8]))
     shape = shape_preset("triangle", params.masses)
     x0 = 2.0 * shape
-    run = construct(
-        x0, shape, 2.0, params, radii=(10.0, 20.0), n_segments=300, max_segments=4000
-    )
+    run = construct(x0, shape, 2.0, params, radii=(10.0, 20.0), n_segments=300)
     assert run.completed
     report = asymptotic_report(run)
     assert report.gap_trend_ok or len(report.gaps) < 2

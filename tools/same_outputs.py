@@ -75,6 +75,15 @@ CALLS = [
             "--energy", "1", "--legs", "4",
         ],
     ),
+    (
+        # leg 6 hits the segment cap and ends transversality-miss: the only
+        # call with a failed leg
+        "hyperbolic_alpha_0_6_six_legs",
+        [
+            "hyperbolic", "--shape", "triangle", "--masses", "1,1.3,1.8", "--alpha", "0.6",
+            "--energy", "2", "--legs", "6",
+        ],
+    ),
     ("metric_suite_small", ["metric-suite", "--pairs", "3", "--triples", "2"]),
     ("validate_geometry_200", ["validate-geometry", "--samples", "200"]),
 ]
