@@ -34,8 +34,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
+# np.median loads numpy.ma; load it here, not in the first free-time solve
+import numpy.ma  # noqa: F401
 
 from . import optimize
 from .configspace import min_separation, weighted_distance, weighted_norm
@@ -292,25 +292,25 @@ class MinimizeResult:
 def _kinetic_preconditioner(n_interior: int, n_bodies: int, dim: int, dt: float, masses):
     """Exact inverse of the kinetic Hessian block as an operator on flats.
 
-    The kinetic part of the action has Hessian (m_i/dt) * tridiag(-1, 2, -1)
-    in each body coordinate; its inverse application is a banded Cholesky
-    solve shared across all N*n coordinate columns. The stored factor goes
-    straight to LAPACK's dpbtrs, the routine cho_solve_banded ends in, with
-    the same finiteness check on the right-hand side.
+    The kinetic part of the action has Hessian (m_i/dt) * T in each body
+    coordinate, with T = tridiag(-1, 2, -1) of size n. Its inverse is the
+    discrete Green's function of the second difference, applied in O(n) by
+    two prefix sums over all N*n coordinate columns at once. With
+    x_0 = x_(n+1) = 0 and d_k = x_k - x_(k-1), T x = q reads
+    d_(k+1) = d_k - q_k, so d_(k+1) = d_1 - P_k with P the prefix sum of q.
+    The d_k sum to x_(n+1) - x_0 = 0, which fixes
+    d_1 = sum_(k<=n) P_k / (n+1), and x is the prefix sum of d.
     """
-    ab = np.zeros((2, n_interior))
-    ab[0, 1:] = -1.0
-    ab[1, :] = 2.0
-    factor = cholesky_banded(ab)
-
     def apply(q: np.ndarray) -> np.ndarray:
         cols = q.reshape(n_interior, n_bodies * dim)
         if not np.isfinite(cols).all():
             raise ValueError("array must not contain infs or NaNs")
-        sol, info = dpbtrs(factor, cols, lower=0)
-        if info != 0:
-            raise ValueError(f"dpbtrs failed with info = {info}")
-        z = sol.reshape(n_interior, n_bodies, dim) * (dt / masses[None, :, None])
+        prefix = np.cumsum(cols, axis=0)
+        d = np.empty_like(prefix)
+        d[0] = prefix.sum(axis=0) / (n_interior + 1)
+        np.subtract(d[0], prefix[:-1], out=d[1:])
+        x = np.cumsum(d, axis=0, out=d)
+        z = x.reshape(n_interior, n_bodies, dim) * (dt / masses[None, :, None])
         return z.ravel()
 
     return apply

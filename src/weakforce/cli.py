@@ -14,6 +14,8 @@ configuration.
 from __future__ import annotations
 
 import argparse
+# argparse's gettext loads locale; load it here, not in the first parse
+import locale  # noqa: F401
 import os
 import sys
 from pathlib import Path

@@ -11,6 +11,8 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
+# numpy loads numpy.random lazily; load it here, not in the first substream
+import numpy.random  # noqa: F401
 
 __all__ = ["substream"]
 

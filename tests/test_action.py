@@ -56,8 +56,19 @@ def wiggled_path(rng, n_bodies=2, dim=2, m=40, total_time=3.0, spread=4.0):
             return DiscretePath(total_time, nodes)
 
 
-@pytest.mark.parametrize("n_interior", [3, 200, 1601])
-def test_kinetic_preconditioner_equals_cho_solve_banded(n_interior):
+# n -> (bound on the residual, bound on the agreement with LAPACK), each 20x
+# the figure measured for the seed below. The prefix sums carry roundoff of
+# order n^2 * eps relative to q, as LAPACK's own solve does.
+_PRECONDITIONER_BOUNDS = {
+    3: (4e-15, 6.3e-15),
+    200: (5.9e-12, 1.3e-12),
+    1601: (6.1e-10, 8.4e-12),
+    28063: (5.5e-8, 3.8e-9),
+}
+
+
+@pytest.mark.parametrize("n_interior", list(_PRECONDITIONER_BOUNDS))
+def test_kinetic_preconditioner_inverts_the_second_difference(n_interior):
     from scipy.linalg import cho_solve_banded, cholesky_banded
 
     from weakforce.action import _kinetic_preconditioner
@@ -65,14 +76,22 @@ def test_kinetic_preconditioner_equals_cho_solve_banded(n_interior):
     masses = np.array([1.0, 1.3, 1.8])
     dt = 0.037
     apply = _kinetic_preconditioner(n_interior, 3, 2, dt, masses)
+    q = np.random.default_rng(n_interior).normal(size=n_interior * 6)
+    x = apply(q).reshape(n_interior, 3, 2) * (masses[None, :, None] / dt)
+    x = x.reshape(n_interior, 6)
+    cols = q.reshape(n_interior, 6)
+    residual_bound, agreement_bound = _PRECONDITIONER_BOUNDS[n_interior]
+
+    tx = 2.0 * x
+    tx[1:] -= x[:-1]
+    tx[:-1] -= x[1:]
+    assert np.abs(tx - cols).max() / np.abs(cols).max() <= residual_bound
+
     ab = np.zeros((2, n_interior))
     ab[0, 1:] = -1.0
     ab[1, :] = 2.0
-    factor = cholesky_banded(ab)
-    q = np.random.default_rng(n_interior).normal(size=n_interior * 6)
-    sol = cho_solve_banded((factor, False), q.reshape(n_interior, 6))
-    want = (sol.reshape(n_interior, 3, 2) * (dt / masses[None, :, None])).ravel()
-    assert apply(q).tobytes() == want.tobytes()
+    want = cho_solve_banded((cholesky_banded(ab), False), cols)
+    assert np.abs(x - want).max() / np.abs(want).max() <= agreement_bound
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

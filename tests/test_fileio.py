@@ -149,11 +149,47 @@ def test_trajectory_csv_of_empty_trajectory(tmp_path):
     assert path.read_bytes().decode().count("\r\n") == 1
 
 
-def test_cli_import_does_not_load_ode_solver():
+def _fresh_python(probe):
     src = str(Path(weakforce.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, weakforce.cli; print('scipy.integrate' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_does_not_load_ode_solver():
+    # no scipy module at all: only `simulate` needs one, and it imports it lazily
+    probe = (
+        "import sys, weakforce.cli; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    assert _fresh_python(probe) == "[]"
+
+
+_PAIR = ["--start=-1,0;1,0", "--end=-1,3;1,3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate-geometry", "--samples", "5", "--bodies", "2", "--dims", "2"],
+        ["phi", *_PAIR, "--segments", "40"],
+        ["minimize", *_PAIR, "--segments", "40"],
+        ["metric-suite", "--pairs", "1", "--triples", "0", "--bodies", "2", "--segments", "40"],
+        ["hyperbolic", "--shape", "antipodal", "--legs", "2", "--base-factor", "4.0",
+         "--segments", "100"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_call_loads_no_module(tmp_path, argv):
+    # every module a subcommand needs is loaded by the import, so none
+    # is loaded during the call
+    probe = (
+        "import contextlib, io, sys, weakforce.cli\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = weakforce.cli.main({[*argv, '--output-dir', str(tmp_path)]!r})\n"
+        "print(code, sorted(set(sys.modules) - before))"
+    )
+    assert _fresh_python(probe) == "0 []"
