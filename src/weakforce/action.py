@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-# np.median loads numpy.ma; load it here, not in the first free-time solve
-import numpy.ma  # noqa: F401
 
 from . import optimize
 from .configspace import min_separation, weighted_distance, weighted_norm
@@ -314,6 +312,13 @@ def _kinetic_preconditioner(n_interior: int, n_bodies: int, dim: int, dt: float,
         return z.ravel()
 
     return apply
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of finite 1-d values from one partition (np.median loads numpy.ma)."""
+    k = values.size // 2
+    part = np.partition(values, (k - 1, k))
+    return float(part[k] if values.size % 2 else (part[k - 1] + part[k]) / 2.0)
 
 
 def _check_segments(n_segments: int) -> None:
@@ -715,7 +720,7 @@ def _free_time_single(
     def mismatch(total_time: float) -> float:
         nodes, _ = solve_at(total_time)
         path = DiscretePath(total_time, nodes)
-        return float(np.median(energy_profile(path, params))) - energy
+        return _median(energy_profile(path, params)) - energy
 
     tol_abs = settings.energy_tol * energy
     polish_target = min(0.25 * tol_abs, _POLISH_RTOL * energy)

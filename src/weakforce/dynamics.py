@@ -73,8 +73,13 @@ class PotentialParams:
         object.__setattr__(self, "masses", mass_vector(self.masses))
         i, j = pair_indices(self.masses.size)
         products = self.masses[i] * self.masses[j]
-        products.setflags(write=False)
+        incidence = np.zeros((i.size, self.masses.size))
+        incidence[np.arange(i.size), i] = 1.0
+        incidence[np.arange(i.size), j] = -1.0
+        for table in (products, incidence):
+            table.setflags(write=False)
         object.__setattr__(self, "_pair_products", products)
+        object.__setattr__(self, "_incidence", incidence)
 
     @property
     def n_bodies(self) -> int:
@@ -84,6 +89,11 @@ class PotentialParams:
     def pair_products(self) -> np.ndarray:
         """m_i * m_j for every unordered pair, in triu order."""
         return self._pair_products  # type: ignore[attr-defined]
+
+    @property
+    def incidence(self) -> np.ndarray:
+        """(P, N) pair-body incidence: +1 at (p, i), -1 at (p, j) for pair p = (i, j)."""
+        return self._incidence  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -104,57 +114,6 @@ class PhasePoint:
         object.__setattr__(self, "velocities", v)
 
 
-def _pair_geometry(x: np.ndarray, params: PotentialParams):
-    """Relative vectors x_i - x_j and squared separations for all pairs."""
-    i, j = pair_indices(params.n_bodies)
-    rel = np.take(x, i, axis=-2) - np.take(x, j, axis=-2)
-    return rel, np.einsum("...pk,...pk->...p", rel, rel)
-
-
-def _separations(dist2: np.ndarray) -> np.ndarray:
-    if np.any(dist2 == 0.0):
-        raise CollisionError("configuration has two bodies at the same point")
-    return np.sqrt(dist2)
-
-
-_SCATTER_ROUNDS: dict[int, np.ndarray] = {}
-
-
-def _scatter_rounds(n_bodies: int) -> np.ndarray:
-    """Per-body gather rows into [c; -c], one column per scatter round.
-
-    Row a lists, in increasing pair index p, the pairs that touch body a:
-    p where a is the pair's first body, p + P where it is the second (P
-    pairs). Built once per body count; read-only.
-    """
-    rounds = _SCATTER_ROUNDS.get(n_bodies)
-    if rounds is None:
-        i, j = pair_indices(n_bodies)
-        n_pairs = i.size
-        rows = [[] for _ in range(n_bodies)]
-        for p in range(n_pairs):
-            rows[i[p]].append(p)
-            rows[j[p]].append(p + n_pairs)
-        rounds = np.array(rows, dtype=np.intp).T.copy()
-        rounds.setflags(write=False)
-        _SCATTER_ROUNDS[n_bodies] = rounds
-    return rounds
-
-
-def _scatter(pair_vectors: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """Sum per-pair vectors onto bodies: +c_p at body i, -c_p at body j.
-
-    Every body receives its terms in increasing pair order starting from
-    +0.0, one gather per round, and x - y is x + (-y) in IEEE 754, so the
-    sums are bit-identical to a loop over pairs.
-    """
-    signed = np.concatenate([pair_vectors, -pair_vectors], axis=-2)
-    out = np.zeros_like(like)
-    for rows in _scatter_rounds(like.shape[-2]):
-        out += np.take(signed, rows, axis=-2)
-    return out
-
-
 def pair_terms(x: np.ndarray, params: PotentialParams, floor: float = 0.0, gradient: bool = True):
     """The pair kernel: (smallest squared separation, U, dU/dx) in one pass.
 
@@ -164,20 +123,30 @@ def pair_terms(x: np.ndarray, params: PotentialParams, floor: float = 0.0, gradi
     the call stops there and returns it with U and dU/dx as None, so a
     caller can veto a configuration before any power is taken.
 
+    Works on coordinate planes: the relative vectors are x @ B^T with the
+    incidence matrix B, each pair takes one power u = d^-alpha, and the
+    gradient is gathered back onto the bodies by one product with B. The
+    relative vectors are exact; the body sums match a loop over pairs to
+    roundoff.
+
     Raises:
         CollisionError: If two bodies coincide and the floor did not veto.
     """
-    rel, dist2 = _pair_geometry(x, params)
+    rel = np.moveaxis(x, -1, 0) @ params.incidence.T
+    dist2 = (rel * rel).sum(axis=0)
     min_sq = float(dist2.min(initial=math.inf))
     if min_sq < floor * floor:
         return min_sq, None, None
-    dist = _separations(dist2)
-    u = np.einsum("p,...p->...", params.pair_products, dist ** -params.alpha)
-    if not gradient:
-        return min_sq, u, None
-    # dU/dx_i picks up -alpha m_i m_j (x_i - x_j)/d^(alpha+2) from pair (i, j).
-    w = -params.alpha * params.pair_products * dist ** -(params.alpha + 2.0)
-    return min_sq, u, _scatter(w[..., None] * rel, x)
+    if min_sq == 0.0:
+        raise CollisionError("configuration has two bodies at the same point")
+    c = params.pair_products
+    u = dist2 ** (-0.5 * params.alpha)
+    grad = None
+    if gradient:
+        # dU/dx_i picks up -alpha m_i m_j (x_i - x_j)/d^(alpha+2) from pair (i, j).
+        w = (-params.alpha * c) * u / dist2
+        grad = np.moveaxis((w * rel) @ params.incidence, 0, -1)
+    return min_sq, u @ c, grad
 
 
 def potential(x: np.ndarray, params: PotentialParams):
@@ -201,18 +170,20 @@ def potential_hessian_vec(x: np.ndarray, vec: np.ndarray, params: PotentialParam
 
     Per pair with r = x_i - x_j, d = |r|, w = vec_i - vec_j the block action
     is m_i m_j (-alpha d^-(alpha+2) w + alpha (alpha+2) d^-(alpha+4) (r.w) r)
-    applied with opposite signs at i and j.
+    applied with opposite signs at i and j. Same coordinate-plane layout as
+    :func:`pair_terms`, with one power per pair.
     """
-    i, j = pair_indices(params.n_bodies)
-    rel, dist2 = _pair_geometry(x, params)
-    dist = _separations(dist2)
-    w = np.take(vec, i, axis=-2) - np.take(vec, j, axis=-2)
+    b = params.incidence
+    rel = np.moveaxis(x, -1, 0) @ b.T
+    w = np.moveaxis(vec, -1, 0) @ b.T
+    dist2 = (rel * rel).sum(axis=0)
+    if dist2.min(initial=math.inf) == 0.0:
+        raise CollisionError("configuration has two bodies at the same point")
     a = params.alpha
-    c = params.pair_products
-    rw = np.einsum("...pk,...pk->...p", rel, w)
-    coef1 = -a * c * dist ** -(a + 2.0)
-    coef2 = a * (a + 2.0) * c * dist ** -(a + 4.0) * rw
-    return _scatter(coef1[..., None] * w + coef2[..., None] * rel, x)
+    cu = params.pair_products * dist2 ** (-0.5 * a) / dist2
+    rw = (rel * w).sum(axis=0)
+    out = (-a * cu) * w + ((a * (a + 2.0)) * cu / dist2 * rw) * rel
+    return np.moveaxis(out @ b, 0, -1)
 
 
 def kinetic_energy(velocities: np.ndarray, masses: np.ndarray) -> float:
@@ -297,12 +268,7 @@ class Trajectory:
         """Package samples of shape (T, N, n) with their conservation diagnostics."""
         m = params.masses
         kin = 0.5 * np.einsum("i,tik,tik->t", m, velocities, velocities)
-        # einsum sums a pair-major array pair by pair, each product rounded;
-        # the contiguous sum in pair_terms accumulates in another order and
-        # can differ in the last bit. The trajectory files keep this order.
-        _, dist2 = _pair_geometry(positions, params)
-        pair_major = np.asfortranarray(np.sqrt(dist2) ** -params.alpha)
-        energy = kin - np.einsum("p,tp->t", params.pair_products, pair_major)
+        energy = kin - pair_terms(positions, params, gradient=False)[1]
         e_scale = max(abs(energy[0]), 1e-30)
         e_drift = np.abs(energy - energy[0]) / e_scale
 

@@ -111,8 +111,9 @@ def fd_action_time_derivative(alpha, masses, nodes, total_time, energy, h=1e-6):
 def scatter_loop(pair_vectors, n_bodies):
     """Pair -> body sum by a loop over pairs in triu order: +c_p at i, -c_p at j.
 
-    The loop the package's pair scatter replaced; kept as the bit-level
-    reference for it.
+    The reference the pair kernel's gradient and Hessian-vector product are
+    checked against, to roundoff, when fed per-pair terms computed pair by
+    pair.
     """
     out = np.zeros(pair_vectors.shape[:-2] + (n_bodies, pair_vectors.shape[-1]))
     for p, (a, b) in enumerate(zip(*np.triu_indices(n_bodies, k=1))):

@@ -159,10 +159,11 @@ def _fresh_python(probe):
 
 
 def test_cli_import_does_not_load_ode_solver():
-    # no scipy module at all: only `simulate` needs one, and it imports it lazily
+    # no scipy module at all: only `simulate` needs one, and it imports it
+    # lazily; and no numpy.ma, which only np.median would need
     probe = (
         "import sys, weakforce.cli; "
-        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.ma'])"
     )
     assert _fresh_python(probe) == "[]"
 
@@ -184,12 +185,12 @@ _PAIR = ["--start=-1,0;1,0", "--end=-1,3;1,3"]
 )
 def test_cli_call_loads_no_module(tmp_path, argv):
     # every module a subcommand needs is loaded by the import, so none
-    # is loaded during the call
+    # is loaded during the call, and numpy.ma is not loaded at all
     probe = (
         "import contextlib, io, sys, weakforce.cli\n"
         "before = set(sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = weakforce.cli.main({[*argv, '--output-dir', str(tmp_path)]!r})\n"
-        "print(code, sorted(set(sys.modules) - before))"
+        "print(code, sorted(set(sys.modules) - before), 'numpy.ma' in sys.modules)"
     )
-    assert _fresh_python(probe) == "0 []"
+    assert _fresh_python(probe) == "0 [] False"
