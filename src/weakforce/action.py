@@ -19,13 +19,16 @@ straight segment a pair's r^(-alpha) is concave near its closest approach),
 so the discrete value is not yet a certified upper bound on the exact action
 of the piecewise-linear path.
 
-Minimization is an inner/outer scheme: interior nodes by preconditioned
-L-BFGS at fixed T, inside one search over T. That search runs a secant that
-drives the median interior-node energy h = K - U to E (the first-order
-optimality condition in T). A cold start begins it at the midpoint of a
-bracket on the action value; a warm start begins it at the warm path's own
-optimal duration. On request, a converged search ends with exact-Hessian
-Newton-CG rounds on the nodes at the duration it found.
+Minimization eliminates the duration. For fixed nodes A(T) = S/T + T (P + E),
+S and P being the kinetic and potential parts at T = 1, so the minimum over T
+is the T-reduced action F = 2 sqrt(S (P + E)) at T* = sqrt(S / (P + E)), and
+F's node gradient is A's at T*. L-BFGS on F minimizes A over the nodes and T
+together (Maupertuis' principle with the time eliminated). A cold start first
+walks a bracket over T on fixed-T minima, which picks the basin, and starts F
+from its best nodes; a warm start starts F from its own nodes. A cold result
+whose interior-node energy misses E is solved once more on the grid refined
+to 2M. On request, a converged result ends with exact-Hessian Newton-CG
+rounds on the nodes at its duration.
 """
 
 from __future__ import annotations
@@ -146,23 +149,30 @@ def maupertuis_lower_bound(x: np.ndarray, y: np.ndarray, masses: np.ndarray, ene
 
 
 def _value_grad_parts(
-    nodes: np.ndarray, total_time: float, energy: float, params: PotentialParams,
+    nodes: np.ndarray, total_time: float | None, energy: float, params: PotentialParams,
     floor: float = 0.0,
 ):
     """The action evaluator: one pair-kernel pass over all nodes.
 
+    With total_time None, T is the nodes' own T* = sqrt(S / (P + E)), so
+    the value is the T-reduced action F and the gradient is F's.
+
     Returns (ActionValue, interior-node gradient, dA/dT, smallest squared
-    node-pair separation), or None when some node pair is closer than floor.
+    node-pair separation, T), or None when a node pair is closer than floor.
     """
     min_sq, u, du = pair_terms(nodes, params, floor)
     if u is None:
         return None
     m_seg = nodes.shape[0] - 1
-    dt = total_time / m_seg
     masses = params.masses
     d = np.diff(nodes, axis=0)
-    kinetic = 0.5 * float(np.einsum("i,sic,sic->", masses, d, d)) / dt
-    pot = dt * float(u[0] / 2.0 + u[1:-1].sum() + u[-1] / 2.0)
+    squares = 0.5 * float(np.einsum("i,sic,sic->", masses, d, d))
+    trapezoid = float(u[0] / 2.0 + u[1:-1].sum() + u[-1] / 2.0)
+    if total_time is None:
+        total_time = math.sqrt(squares * m_seg / (trapezoid / m_seg + energy))
+    dt = total_time / m_seg
+    kinetic = squares / dt
+    pot = dt * trapezoid
     e_term = energy * total_time
     act = ActionValue(
         value=kinetic + pot + e_term, kinetic=kinetic, potential=pot, energy_term=e_term
@@ -171,7 +181,7 @@ def _value_grad_parts(
     second = 2.0 * nodes[1:-1] - nodes[:-2] - nodes[2:]
     grad = (masses[None, :, None] / dt) * second + dt * du[1:-1]
     da_dt = (pot - kinetic) / total_time + energy
-    return act, grad, da_dt, min_sq
+    return act, grad, da_dt, min_sq, total_time
 
 
 def path_action(path: DiscretePath, energy: float, params: PotentialParams) -> ActionValue:
@@ -190,7 +200,7 @@ def path_action_gradient(
     path: DiscretePath, energy: float, params: PotentialParams
 ) -> tuple[np.ndarray, float]:
     """Gradient of the action: (interior-node gradient of shape (M-1, N, n), dA/dT)."""
-    _, grad, da_dt, _ = _value_grad_parts(path.nodes, path.total_time, energy, params)
+    _, grad, da_dt, _, _ = _value_grad_parts(path.nodes, path.total_time, energy, params)
     return grad, da_dt
 
 
@@ -210,9 +220,12 @@ def el_residual(path: DiscretePath, params: PotentialParams) -> float:
     """
     dt = path.dt
     second = (path.nodes[2:] - 2.0 * path.nodes[1:-1] + path.nodes[:-2]) / dt**2
-    defect = second - acceleration(path.nodes[1:-1], params)
-    norms = np.sqrt(0.5 * np.einsum("i,sic,sic->s", params.masses, defect, defect))
-    return float(norms.max())
+    return _worst_norm(second - acceleration(path.nodes[1:-1], params), params.masses)
+
+
+def _worst_norm(vectors: np.ndarray, masses: np.ndarray) -> float:
+    """Largest weighted norm among a stack of (N, n) vectors."""
+    return float(np.sqrt(0.5 * np.einsum("i,sic,sic->s", masses, vectors, vectors)).max())
 
 
 def discretization_scale(path: DiscretePath, params: PotentialParams) -> float:
@@ -226,17 +239,16 @@ def discretization_scale(path: DiscretePath, params: PotentialParams) -> float:
         raise ValueError("need at least 4 segments to estimate the discretization scale")
     nodes = path.nodes
     fourth = nodes[4:] - 4.0 * nodes[3:-1] + 6.0 * nodes[2:-2] - 4.0 * nodes[1:-3] + nodes[:-4]
-    norms = np.sqrt(0.5 * np.einsum("i,sic,sic->s", params.masses, fourth, fourth))
-    return float(norms.max()) / (12.0 * path.dt**2)
+    return _worst_norm(fourth, params.masses) / (12.0 * path.dt**2)
 
 
-_MAX_ITERATIONS = 1500  # L-BFGS cap of one inner solve at fixed T
+_MAX_ITERATIONS = 1500  # L-BFGS cap of one inner solve
 _MEMORY = 12
 _COLLISION_FLOOR_SCALE = 1e-3  # veto floor over the endpoints' min separation
-_MAX_POLISH = 12
-# drive |median(h) - E| this far below energy_tol; residual timing noise
-# otherwise dominates comparisons between independently solved paths
-_POLISH_RTOL = 1e-6
+# the bracket over T only compares the values of fixed-T minima, which this
+# looser gradient test already resolves; much looser ones change the basin
+# it picks
+_BRACKET_GRAD_TOL = 1e-6
 _NEWTON_CG_TOL = 1e-3
 _NEWTON_MAX_CG = 250
 
@@ -267,7 +279,8 @@ class MinimizeResult:
     trapezoid rule can undershoot the exact potential integral (see the
     module docstring). status values: "converged", "inner-not-converged",
     "line-search-failure", "transversality-miss", "degenerate-endpoints",
-    "boundary-time-floor", "bracket-failure".
+    "boundary-time-floor", "bracket-failure". coarse_value is the value on
+    the requested grid of a result refined once after a miss, else None.
     """
 
     path: DiscretePath
@@ -281,6 +294,7 @@ class MinimizeResult:
     dA_dT: float
     min_sep: float
     degenerate: bool = False
+    coarse_value: float | None = None
 
     @property
     def value(self) -> float:
@@ -314,13 +328,6 @@ def _kinetic_preconditioner(n_interior: int, n_bodies: int, dim: int, dt: float,
     return apply
 
 
-def _median(values: np.ndarray) -> float:
-    """np.median of finite 1-d values from one partition (np.median loads numpy.ma)."""
-    k = values.size // 2
-    part = np.partition(values, (k - 1, k))
-    return float(part[k] if values.size % 2 else (part[k - 1] + part[k]) / 2.0)
-
-
 def _check_segments(n_segments: int) -> None:
     # the inner solve moves the interior nodes and the transversality test
     # reads their energy, so a path needs at least one interior node
@@ -339,9 +346,10 @@ def _check_endpoints(x: np.ndarray, y: np.ndarray, params: PotentialParams) -> f
 def _bumped_nodes(nodes: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
     """Perturb interior nodes with a sine envelope, keeping endpoints fixed."""
     m_plus_1 = nodes.shape[0]
-    envelope = np.sin(np.pi * np.linspace(0.0, 1.0, m_plus_1))[:, None, None]
+    envelope = np.sin(np.pi * np.linspace(0.0, 1.0, m_plus_1))
+    envelope[-1] = 0.0  # sin(pi) is 1.2e-16
     noise = rng.standard_normal(nodes.shape)
-    return nodes + scale * envelope * noise
+    return nodes + scale * envelope[:, None, None] * noise
 
 
 def _nodes_min_sep(nodes: np.ndarray) -> float:
@@ -430,7 +438,7 @@ def _newton_cleanup(
         n_interior, n_bodies, dim, total_time / (n_interior + 1), params.masses
     )
     best = nodes.copy()
-    _, grad, _, _ = _value_grad_parts(best, total_time, energy, params)
+    grad = _value_grad_parts(best, total_time, energy, params)[1]
     gnorm = float(np.linalg.norm(grad.ravel()))
     for _ in range(rounds):
         if gnorm == 0.0:
@@ -458,42 +466,38 @@ def _newton_cleanup(
 
 
 def _solve_interior(
-    nodes0: np.ndarray,
-    total_time: float,
-    energy: float,
-    params: PotentialParams,
-    floor: float,
-    settings: SolverSettings,
+    nodes0: np.ndarray, total_time: float | None, x: np.ndarray, y: np.ndarray,
+    energy: float, params: PotentialParams, floor: float, grad_tol: float,
 ):
-    """Inner minimization over interior nodes at fixed T."""
+    """Minimize over the interior nodes of a path x -> y at fixed T, or the
+    T-reduced action when total_time is None (preconditioned at the start
+    nodes' T*). The endpoints are x and y whatever nodes0 holds there.
+    """
     m_plus_1, n_bodies, dim = nodes0.shape
     n_interior = m_plus_1 - 2
-    dt = total_time / (m_plus_1 - 1)
-    endpoints = (nodes0[0].copy(), nodes0[-1].copy())
-    template = nodes0.copy()
-
-    def assemble(z):
-        template[1:-1] = z.reshape(n_interior, n_bodies, dim)
-        return template
+    nodes = nodes0.copy()
+    nodes[0], nodes[-1] = x, y
+    t_pre = _value_grad_parts(nodes, None, energy, params)[4] if total_time is None else total_time
 
     def fun_grad(z):
-        parts = _value_grad_parts(assemble(z), total_time, energy, params, floor)
+        nodes[1:-1] = z.reshape(n_interior, n_bodies, dim)
+        parts = _value_grad_parts(nodes, total_time, energy, params, floor)
         if parts is None:
             return math.inf, None
         return parts[0].value, parts[1].ravel()
 
-    apply_h0 = _kinetic_preconditioner(n_interior, n_bodies, dim, dt, params.masses)
+    apply_h0 = _kinetic_preconditioner(
+        n_interior, n_bodies, dim, t_pre / (m_plus_1 - 1), params.masses
+    )
     outcome = optimize.lbfgs(
         fun_grad,
         nodes0[1:-1].ravel(),
-        grad_tol=settings.grad_tol,
+        grad_tol=grad_tol,
         max_iterations=_MAX_ITERATIONS,
         memory=_MEMORY,
         apply_h0=apply_h0,
     )
-    nodes = nodes0.copy()
     nodes[1:-1] = outcome.x.reshape(n_interior, n_bodies, dim)
-    nodes[0], nodes[-1] = endpoints
     return nodes, outcome
 
 
@@ -503,10 +507,10 @@ def _inner_status(outcome: optimize.OptimizeOutcome) -> str:
 
 
 def _assemble_result(
-    nodes, total_time, energy, params, outcome, status, degenerate=False
+    nodes, total_time, energy, params, outcome, status, degenerate=False, coarse_value=None
 ) -> MinimizeResult:
     path = DiscretePath(total_time, nodes)
-    act, _, da_dt, min_sq = _value_grad_parts(path.nodes, total_time, energy, params)
+    act, grad, da_dt, min_sq, _ = _value_grad_parts(path.nodes, total_time, energy, params)
     return MinimizeResult(
         path=path,
         action=act,
@@ -515,10 +519,12 @@ def _assemble_result(
         grad_norm=outcome.grad_norm,
         iterations=outcome.iterations,
         energy_profile=energy_profile(path, params),
-        el_residual=el_residual(path, params),
+        # grad_k / (m dt) is minus the equation-of-motion defect at node k
+        el_residual=_worst_norm(grad / (params.masses[None, :, None] * path.dt), params.masses),
         dA_dT=da_dt,
         min_sep=math.sqrt(min_sq),
         degenerate=degenerate,
+        coarse_value=coarse_value,
     )
 
 
@@ -557,7 +563,9 @@ def minimize_fixed_time(
     nodes0 = straight_path(x, y, total_time, n_segments).nodes
     bump_scale = max(weighted_distance(x, y, params.masses), 1.0)
     nodes0 = _feasible_nodes(nodes0, floor, bump_scale, np.random.default_rng(0))
-    nodes, outcome = _solve_interior(nodes0, total_time, energy, params, floor, settings)
+    nodes, outcome = _solve_interior(
+        nodes0, total_time, x, y, energy, params, floor, settings.grad_tol
+    )
     return _assemble_result(nodes, total_time, energy, params, outcome, _inner_status(outcome))
 
 
@@ -575,13 +583,14 @@ def minimize_free_time(
 ) -> MinimizeResult:
     """Minimize the action over paths x -> y and over the duration.
 
-    The outer search brackets the optimal T around the free-particle guess
-    ||x - y|| / sqrt(E), then moves T from the bracket's midpoint by a
-    secant until the interior-node energy agrees with E (transversality).
-    A search that ends converged may then polish its nodes at the T it
-    found (newton_rounds) and test transversality again on the polished
-    nodes. Near-coincident endpoints short-circuit to a degenerate result
-    at the time floor.
+    A cold start brackets the optimal T around the free-particle guess
+    ||x - y|| / sqrt(E) with fixed-T minima, then minimizes the T-reduced
+    action over the nodes from the bracket's best ones (see the module
+    docstring). A result is converged when its interior-node energy agrees
+    with E; a cold one that misses is solved once more on 2 * n_segments.
+    A converged result may then be polished at its T (newton_rounds) and
+    tested again. Near-coincident endpoints short-circuit to a degenerate
+    result at the time floor.
 
     Args:
         x, y: Endpoint configurations, collision-free.
@@ -594,15 +603,14 @@ def minimize_free_time(
         rng: Source for restart perturbations; a fixed default otherwise.
         init_nodes: Optional warm-start nodes of shape (n_segments+1, N, n)
             for the first attempt; endpoints are overwritten with x and y.
-            The bracket is skipped: the secant starts at their own optimal
-            duration sqrt(S / (U + E)), S and U being the kinetic and
-            potential parts of their action at T = 1.
+            The bracket is skipped: the reduced action is minimized
+            from them directly, and a miss is returned on the grid given.
         newton_rounds: Most rounds of exact-Hessian Newton-CG cleanup of a
             converged search's nodes at its final T (0 disables); a full
             step that does not lower the gradient norm ends it. Long paths
             leave L-BFGS with error along low-frequency modes (curvature
             ~ 1/T^2) that pointwise comparisons of two paths need removed.
-            A search that ends in any other status is returned unpolished.
+            A result in any other status is returned unpolished.
 
     Returns:
         A :class:`MinimizeResult` whose ``action.value`` estimates the
@@ -623,7 +631,7 @@ def minimize_free_time(
     if d <= 1e-9 * scale:
         nodes0 = straight_path(x, y, settings.time_floor, n_segments).nodes
         nodes, outcome = _solve_interior(
-            nodes0, settings.time_floor, energy, params, floor, settings
+            nodes0, settings.time_floor, x, y, energy, params, floor, settings.grad_tol
         )
         return _assemble_result(
             nodes, settings.time_floor, energy, params, outcome,
@@ -660,101 +668,81 @@ def _free_time_single(
     x, y, energy, params, n_segments, settings: SolverSettings, floor, dist, attempt, rng,
     init_nodes=None, newton_rounds=0,
 ) -> MinimizeResult:
-    t_guess = max(dist / math.sqrt(energy), 10.0 * settings.time_floor)
+    bump_scale = max(dist, 1.0)
     if init_nodes is not None:
-        warm = {"nodes": init_nodes}
+        nodes = _feasible_nodes(init_nodes, floor, bump_scale, rng)
     else:
-        warm = {"nodes": straight_path(x, y, t_guess, n_segments).nodes}
+        t_guess = max(dist / math.sqrt(energy), 10.0 * settings.time_floor)
+        warm = straight_path(x, y, t_guess, n_segments).nodes
         if attempt > 0:
-            warm["nodes"] = _bumped_nodes(warm["nodes"], 0.1 * dist / math.sqrt(2.0), rng)
-    warm["nodes"] = _feasible_nodes(warm["nodes"], floor, max(dist, 1.0), rng)
-    cache: dict[float, tuple] = {}
+            warm = _bumped_nodes(warm, 0.1 * dist / math.sqrt(2.0), rng)
+        warm = _feasible_nodes(warm, floor, bump_scale, rng)
+        bracket_tol = max(settings.grad_tol, _BRACKET_GRAD_TOL)
 
-    def solve_at(total_time: float):
-        if total_time in cache:
-            return cache[total_time]
-        nodes, outcome = _solve_interior(
-            warm["nodes"], total_time, energy, params, floor, settings
-        )
-        if outcome.converged:
-            warm["nodes"] = nodes
-        cache[total_time] = (nodes, outcome)
-        return cache[total_time]
+        def solve_at(total_time: float):
+            # (T, value of the fixed-T minimum, its nodes); each solve starts
+            # from the last converged one
+            nonlocal warm
+            nodes, outcome = _solve_interior(
+                warm, total_time, x, y, energy, params, floor, bracket_tol
+            )
+            if outcome.converged:
+                warm = nodes
+            return total_time, outcome.value, nodes
 
-    def value_at(total_time: float) -> float:
-        nodes, _ = solve_at(total_time)
-        return _value_grad_parts(nodes, total_time, energy, params)[0].value
+        def exit_at(total_time: float, nodes0, status: str, degenerate: bool = False):
+            # re-solved at full tolerance, so grad_norm keeps its meaning
+            nodes, outcome = _solve_interior(
+                nodes0, total_time, x, y, energy, params, floor, settings.grad_tol
+            )
+            return _assemble_result(
+                nodes, total_time, energy, params, outcome, status, degenerate
+            )
 
-    if init_nodes is not None:
-        # A(T) = S/T + T (U + E) for the warm path's shape, S and U taken at T = 1
-        act = _value_grad_parts(warm["nodes"], 1.0, energy, params)[0]
-        t_cur = max(math.sqrt(act.kinetic / (act.potential + energy)), settings.time_floor)
-    else:
-        lo, mid, hi = 0.5 * t_guess, t_guess, 2.0 * t_guess
-        lo = max(lo, settings.time_floor)
-        f_lo, f_mid, f_hi = value_at(lo), value_at(mid), value_at(hi)
+        t_lo = max(0.5 * t_guess, settings.time_floor)
+        lo, mid, hi = [solve_at(t) for t in (t_lo, t_guess, 2.0 * t_guess)]
         for _ in range(80):
-            if f_lo < f_mid:
-                if lo <= settings.time_floor * (1.0 + 1e-12):
-                    nodes, outcome = solve_at(settings.time_floor)
-                    return _assemble_result(
-                        nodes, settings.time_floor, energy, params, outcome,
-                        "boundary-time-floor", degenerate=True,
-                    )
-                hi, f_hi, mid, f_mid = mid, f_mid, lo, f_lo
-                lo = max(0.5 * lo, settings.time_floor)
-                f_lo = value_at(lo)
-            elif f_hi < f_mid:
-                lo, f_lo, mid, f_mid = mid, f_mid, hi, f_hi
-                hi *= 2.0
-                if hi > 1e7 * t_guess:
-                    nodes, outcome = solve_at(mid)
-                    return _assemble_result(nodes, mid, energy, params, outcome, "bracket-failure")
-                f_hi = value_at(hi)
+            if lo[1] < mid[1]:
+                if lo[0] <= settings.time_floor * (1.0 + 1e-12):
+                    return exit_at(settings.time_floor, lo[2], "boundary-time-floor", True)
+                hi, mid = mid, lo
+                lo = solve_at(max(0.5 * mid[0], settings.time_floor))
+            elif hi[1] < mid[1]:
+                if 2.0 * hi[0] > 1e7 * t_guess:
+                    return exit_at(hi[0], hi[2], "bracket-failure")
+                lo, mid = mid, hi
+                hi = solve_at(2.0 * mid[0])
             else:
                 break
-        t_cur = mid
+        nodes = mid[2]
 
-    # transversality secant: the interior-node energy level is monotone
-    # decreasing in T, so it drives median(h) to E
-    def mismatch(total_time: float) -> float:
-        nodes, _ = solve_at(total_time)
-        path = DiscretePath(total_time, nodes)
-        return _median(energy_profile(path, params)) - energy
+    def misses(nodes, total_time) -> bool:
+        prof = energy_profile(DiscretePath(total_time, nodes), params)
+        return float(np.max(np.abs(prof - energy))) > settings.energy_tol * energy
 
-    tol_abs = settings.energy_tol * energy
-    polish_target = min(0.25 * tol_abs, _POLISH_RTOL * energy)
-    g_cur = mismatch(t_cur)
-    t_prev, g_prev = None, None
-    for _ in range(_MAX_POLISH):
-        if abs(g_cur) <= polish_target:
-            break
-        if t_prev is None or g_cur == g_prev:
-            step = 0.02 * t_cur * (1.0 if g_cur > 0.0 else -1.0)
-            t_next = t_cur + step
-        else:
-            t_next = t_cur - g_cur * (t_cur - t_prev) / (g_cur - g_prev)
-            t_next = min(max(t_next, 0.5 * t_cur), 2.0 * t_cur)
-        t_next = max(t_next, settings.time_floor)
-        t_prev, g_prev = t_cur, g_cur
-        t_cur = t_next
-        g_cur = mismatch(t_cur)
+    def reduced_solve(nodes0):
+        nodes, outcome = _solve_interior(
+            nodes0, None, x, y, energy, params, floor, settings.grad_tol
+        )
+        total_time = _value_grad_parts(nodes, None, energy, params)[4]
+        status = _inner_status(outcome)
+        if status == "converged" and misses(nodes, total_time):
+            status = "transversality-miss"
+        return nodes, outcome, total_time, status
 
-    def misses(nodes) -> bool:
-        prof = energy_profile(DiscretePath(t_cur, nodes), params)
-        return float(np.max(np.abs(prof - energy))) > tol_abs
-
-    nodes, outcome = solve_at(t_cur)
-    status = _inner_status(outcome)
-    if status == "converged" and misses(nodes):
-        status = "transversality-miss"
+    nodes, outcome, t_opt, status = reduced_solve(nodes)
+    coarse_value = None
+    if status == "transversality-miss" and init_nodes is None:
+        # a cold miss is grid resolution: solve once more on twice the nodes
+        coarse_value = outcome.value
+        fine = _feasible_nodes(DiscretePath(t_opt, nodes).refined().nodes, floor, bump_scale, rng)
+        nodes, outcome, t_opt, status = reduced_solve(fine)
     if status == "converged" and newton_rounds > 0:
-        # the paths of the other durations visited are done with; free them
-        # before the Newton-CG steps allocate
-        cache.clear()
-        nodes, gnorm = _newton_cleanup(nodes, t_cur, energy, params, floor, newton_rounds)
+        nodes, gnorm = _newton_cleanup(nodes, t_opt, energy, params, floor, newton_rounds)
         if gnorm < outcome.grad_norm:
             outcome = replace(outcome, grad_norm=gnorm)
-        if misses(nodes):
+        if misses(nodes, t_opt):
             status = "transversality-miss"
-    return _assemble_result(nodes, t_cur, energy, params, outcome, status)
+    return _assemble_result(
+        nodes, t_opt, energy, params, outcome, status, coarse_value=coarse_value
+    )

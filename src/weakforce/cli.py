@@ -173,7 +173,10 @@ def _minimize_report_text(result, energy: float, params: PotentialParams) -> str
         f"interior energy range = [{format_float(float(result.energy_profile.min()))}, "
         f"{format_float(float(result.energy_profile.max()))}] (target {format_float(energy)})",
         f"degenerate endpoints = {result.degenerate}",
+        f"segments = {result.path.n_segments}",
     ]
+    if result.coarse_value is not None:
+        lines.append(f"coarse action value = {format_float(result.coarse_value)}")
     return "\n".join(lines) + "\n"
 
 

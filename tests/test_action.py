@@ -410,17 +410,26 @@ def test_free_time_search_inner_solve_count(monkeypatch, case):
 
 
 @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
-def test_free_time_median_energy_on_secant_target(case):
-    """A converged result sits on the secant's own target, |median(h) - E| <= 1e-6 E."""
+def test_free_time_result_sits_at_its_optimal_duration(case):
+    """T is the nodes' own sqrt(S / (P + E)), so the mean segment energy is E to roundoff."""
     p, x, y, energy, m = SEARCH_CASES[case]
     result = minimize_free_time(x, y, energy, p, n_segments=m)
     assert result.converged
-    assert abs(float(np.median(result.energy_profile)) - energy) <= 1e-6 * energy
+    unit = path_action(DiscretePath(1.0, result.path.nodes), energy, p)
+    t_star = math.sqrt(unit.kinetic / (unit.potential + energy))
+    npt.assert_allclose(result.path.total_time, t_star, rtol=1e-12)
+    assert abs(result.dA_dT) <= 1e-12 * energy
+    # dA/dT = E - mean segment energy, recomputed here from the nodes
+    v = np.diff(result.path.nodes, axis=0) / result.path.dt
+    kinetic = 0.5 * np.einsum("i,sic,sic->s", p.masses, v, v)
+    u = potential(result.path.nodes, p)
+    mean_energy = kinetic.mean() - (u[0] / 2.0 + u[1:-1].sum() + u[-1] / 2.0) / m
+    assert abs(mean_energy - energy) <= 1e-12 * energy
 
 
 @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
-def test_free_time_warm_start_skips_the_bracket(monkeypatch, case):
-    """Warm-started from a converged solve's nodes, the search needs a few secant steps."""
+def test_free_time_warm_start_is_one_reduced_solve(monkeypatch, case):
+    """Warm-started from a converged solve's nodes: no bracket, one reduced solve, no steps."""
     from weakforce import action
 
     p, x, y, energy, m = SEARCH_CASES[case]
@@ -435,9 +444,107 @@ def test_free_time_warm_start_skips_the_bracket(monkeypatch, case):
     monkeypatch.setattr(action, "_solve_interior", counted)
     warm = minimize_free_time(x, y, energy, p, n_segments=m, init_nodes=cold.path.nodes)
     assert cold.converged and warm.converged
-    assert len(calls) <= 4
-    assert abs(float(np.median(warm.energy_profile)) - energy) <= 1e-6 * energy
+    assert calls == [None]
+    assert warm.iterations <= 2
     npt.assert_allclose(warm.value, cold.value, rtol=1e-9)
+    npt.assert_allclose(warm.path.total_time, cold.path.total_time, rtol=1e-9)
+
+
+def _reduced_action(nodes, energy, p):
+    from weakforce import action
+
+    return action._value_grad_parts(nodes, None, energy, p)
+
+
+def test_reduced_action_gradient_matches_central_differences():
+    rng = np.random.default_rng(59)
+    for alpha in (0.3, 0.5, 0.8):
+        p = PotentialParams(alpha, np.array([1.0, 1.5, 2.0]))
+        nodes = wiggled_path(rng, n_bodies=3, m=12).nodes
+        grad = _reduced_action(nodes, 1.3, p)[1]
+        ref = np.zeros_like(grad)
+        h = 1e-6
+        for idx in np.ndindex(grad.shape):
+            k = (idx[0] + 1,) + idx[1:]
+            up, down = nodes.copy(), nodes.copy()
+            up[k] += h
+            down[k] -= h
+            ref[idx] = (
+                _reduced_action(up, 1.3, p)[0].value - _reduced_action(down, 1.3, p)[0].value
+            ) / (2.0 * h)
+        err = np.abs(grad - ref).max() / (1.0 + np.abs(ref).max())
+        assert err < 1e-7
+
+
+def test_reduced_action_is_the_action_at_the_optimal_duration():
+    """F = 2 sqrt(S (P + E)) = A(T*), and dA/dT vanishes there to roundoff."""
+    rng = np.random.default_rng(61)
+    p = PotentialParams(0.5, np.array([1.0, 1.5, 2.0]))
+    energy = 1.3
+    for _ in range(5):
+        nodes = wiggled_path(rng, n_bodies=3).nodes
+        act, grad, da_dt, _, t_star = _reduced_action(nodes, energy, p)
+        unit = path_action(DiscretePath(1.0, nodes), energy, p)
+        npt.assert_allclose(
+            act.value, 2.0 * math.sqrt(unit.kinetic * (unit.potential + energy)), rtol=1e-13
+        )
+        at_t_star = DiscretePath(t_star, nodes)
+        npt.assert_allclose(act.value, path_action(at_t_star, energy, p).value, rtol=1e-14)
+        fixed_grad, fixed_da_dt = path_action_gradient(at_t_star, energy, p)
+        npt.assert_array_equal(grad, fixed_grad)
+        assert abs(da_dt) <= 1e-14 * act.value
+        assert abs(fixed_da_dt) <= 1e-14 * act.value
+
+
+def test_free_time_miss_is_solved_again_on_the_refined_grid():
+    p, x, y, energy, _ = SEARCH_CASES["three-body"]
+    # at 10 segments the close approach misses the energy test
+    refined = minimize_free_time(x, y, energy, p, n_segments=10)
+    assert refined.converged
+    assert refined.path.n_segments == 20
+    assert refined.coarse_value is not None
+    assert abs(refined.coarse_value - refined.value) <= 1e-3 * refined.value
+    # a warm start keeps its grid, and returns the miss on it
+    warm = minimize_free_time(
+        x, y, energy, p, n_segments=10, init_nodes=straight_path(x, y, 1.0, 10).nodes
+    )
+    assert warm.status == "transversality-miss"
+    assert warm.path.n_segments == 10 and warm.coarse_value is None
+    plain = minimize_free_time(x, y, energy, p, n_segments=20)
+    assert plain.converged and plain.coarse_value is None
+
+
+def test_result_el_residual_is_the_public_one():
+    """The result's residual, read off the evaluator's gradient, is el_residual's."""
+    for case in sorted(SEARCH_CASES):
+        p, x, y, energy, m = SEARCH_CASES[case]
+        # a gradient tolerance every start meets leaves the straight path,
+        # far from a solution
+        start = minimize_fixed_time(
+            x, y, 2.0, energy, p, n_segments=m, settings=SolverSettings(grad_tol=1e3)
+        )
+        assert start.iterations == 0
+        npt.assert_allclose(start.el_residual, el_residual(start.path, p), rtol=1e-12)
+        # on a solution both are small differences of O(1) terms
+        for result in (
+            minimize_fixed_time(x, y, 2.0, energy, p, n_segments=m),
+            minimize_free_time(x, y, energy, p, n_segments=m),
+        ):
+            assert result.converged
+            assert abs(result.el_residual - el_residual(result.path, p)) <= 1e-12
+
+
+def test_free_time_swap_ends_exactly_at_the_endpoints():
+    """Restarts bump their start paths; the result still ends at x and y bit for bit."""
+    p = two_body()
+    x = np.array([[-1.0, 0.0], [1.0, 0.0]])
+    y = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    result = minimize_free_time(x, y, 1.0, p, n_segments=60, restarts=3)
+    assert result.path.start.tobytes() == x.tobytes()
+    assert result.path.end.tobytes() == y.tobytes()
+    fixed = minimize_fixed_time(x, y, 4.0, 1.0, p, n_segments=60)
+    assert fixed.path.start.tobytes() == x.tobytes()
+    assert fixed.path.end.tobytes() == y.tobytes()
 
 
 def test_warm_start_duration_minimizes_action_of_its_shape():

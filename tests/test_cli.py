@@ -246,6 +246,32 @@ def test_phi_deterministic_report(tmp_path, capsys):
     assert (a_dir / "phi_report.txt").read_bytes() == (b_dir / "phi_report.txt").read_bytes()
 
 
+def _report_fields(path):
+    return dict(line.split(" = ", 1) for line in path.read_text().splitlines() if " = " in line)
+
+
+def test_phi_report_names_the_final_grid(tmp_path, capsys):
+    plain, refined = tmp_path / "plain", tmp_path / "refined"
+    assert run_cli(
+        "phi", "--output-dir", str(plain),
+        f"--start={PAIR_START}", f"--end={PAIR_END}", "--segments", "60",
+    ) == 0
+    # three bodies whose close approach misses the energy test at 10 segments
+    assert run_cli(
+        "phi", "--output-dir", str(refined), "--start=-2,0;0,1.5;2,0",
+        "--end=-2,3;0,-1.5;2,3", "--energy", "2", "--segments", "10",
+    ) == 0
+    capsys.readouterr()
+    fields = _report_fields(plain / "phi_report.txt")
+    assert fields["segments"] == "60"
+    assert "coarse action value" not in fields
+    fields = _report_fields(refined / "phi_report.txt")
+    assert fields["segments"] == "20"
+    coarse, fine = float(fields["coarse action value"]), float(fields["action value"])
+    assert coarse != fine and abs(coarse - fine) <= 1e-3 * fine
+    assert len(read_trajectory_csv(refined / "phi_path.csv")[0]) == 21
+
+
 # ---------------------------------------------------------------------------
 # metric-suite / hyperbolic / validate-geometry
 

@@ -37,6 +37,8 @@ REPO = Path(__file__).resolve().parents[1]
 _START_10 = ";".join(f"{2.0 * (k % 5) - 4.0},{2.5 * (k // 5)}" for k in range(10))
 _END_10 = ";".join(f"{2.0 * (k % 5) + 3.0},{2.5 * (k // 5) + 8.0}" for k in range(10))
 _MASSES_10 = ",".join(f"1.{k}" for k in range(10))
+# each body ends one column over, the last of each row wrapping to its first
+_END_10_SHIFTED = ";".join(f"{2.0 * ((k + 1) % 5) + 3.0},{2.5 * (k // 5) + 8.0}" for k in range(10))
 
 # (name, argv); each call writes into its own directory.
 CALLS = [
@@ -62,6 +64,15 @@ CALLS = [
     (
         "phi_10_bodies",
         ["phi", f"--start={_START_10}", f"--end={_END_10}", "--masses", _MASSES_10, "--energy", "1.0"],
+    ),
+    (
+        # the wrapping body crosses its row, and the close approaches miss
+        # the energy test at 200 segments: the path is solved again on 400
+        "phi_10_bodies_refined",
+        [
+            "phi", f"--start={_START_10}", f"--end={_END_10_SHIFTED}", "--masses", _MASSES_10,
+            "--energy", "1.0",
+        ],
     ),
     (
         "hyperbolic_alpha_0_6",
