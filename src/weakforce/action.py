@@ -25,9 +25,11 @@ is the T-reduced action F = 2 sqrt(S (P + E)) at T* = sqrt(S / (P + E)), and
 F's node gradient is A's at T*. L-BFGS on F minimizes A over the nodes and T
 together (Maupertuis' principle with the time eliminated). A cold start first
 walks a bracket over T on fixed-T minima, which picks the basin, and starts F
-from its best nodes; a warm start starts F from its own nodes. A cold result
-whose interior-node energy misses E is solved once more on the grid refined
-to 2M. On request, a converged result ends with exact-Hessian Newton-CG
+from its best nodes; the walk starts at the start path's own T*, since the
+potential keeps T* well below the free-particle ||x - y|| / sqrt(E). A warm
+start starts F from its own nodes. A cold result whose interior-node energy
+misses E is solved again on the grid refined to 2M, and to 4M if it still
+misses. On request, a converged result ends with exact-Hessian Newton-CG
 rounds on the nodes at its duration.
 """
 
@@ -178,8 +180,14 @@ def _value_grad_parts(
         value=kinetic + pot + e_term, kinetic=kinetic, potential=pot, energy_term=e_term
     )
 
-    second = 2.0 * nodes[1:-1] - nodes[:-2] - nodes[2:]
-    grad = (masses[None, :, None] / dt) * second + dt * du[1:-1]
+    # (m / dt) * (2 x_k - x_(k-1) - x_(k+1)) + dt * dU_k, built in place
+    grad = 2.0 * nodes[1:-1]
+    grad -= nodes[:-2]
+    grad -= nodes[2:]
+    grad *= masses[None, :, None] / dt
+    du_interior = du[1:-1]
+    du_interior *= dt
+    grad += du_interior
     da_dt = (pot - kinetic) / total_time + energy
     return act, grad, da_dt, min_sq, total_time
 
@@ -249,6 +257,7 @@ _COLLISION_FLOOR_SCALE = 1e-3  # veto floor over the endpoints' min separation
 # looser gradient test already resolves; much looser ones change the basin
 # it picks
 _BRACKET_GRAD_TOL = 1e-6
+_MAX_REFINEMENTS = 2  # grid doublings of a cold miss: M -> 2M -> 4M
 _NEWTON_CG_TOL = 1e-3
 _NEWTON_MAX_CG = 250
 
@@ -278,9 +287,10 @@ class MinimizeResult:
     not yet a certified upper bound for the infimum over all paths: the
     trapezoid rule can undershoot the exact potential integral (see the
     module docstring). status values: "converged", "inner-not-converged",
-    "line-search-failure", "transversality-miss", "degenerate-endpoints",
-    "boundary-time-floor", "bracket-failure". coarse_value is the value on
-    the requested grid of a result refined once after a miss, else None.
+    "line-search-failure", "noise-floor", "transversality-miss",
+    "degenerate-endpoints", "boundary-time-floor", "bracket-failure".
+    coarse_value is the value on the requested grid of a result refined
+    after a miss, else None.
     """
 
     path: DiscretePath
@@ -322,7 +332,8 @@ def _kinetic_preconditioner(n_interior: int, n_bodies: int, dim: int, dt: float,
         d[0] = prefix.sum(axis=0) / (n_interior + 1)
         np.subtract(d[0], prefix[:-1], out=d[1:])
         x = np.cumsum(d, axis=0, out=d)
-        z = x.reshape(n_interior, n_bodies, dim) * (dt / masses[None, :, None])
+        z = x.reshape(n_interior, n_bodies, dim)
+        z *= dt / masses[None, :, None]
         return z.ravel()
 
     return apply
@@ -583,11 +594,12 @@ def minimize_free_time(
 ) -> MinimizeResult:
     """Minimize the action over paths x -> y and over the duration.
 
-    A cold start brackets the optimal T around the free-particle guess
-    ||x - y|| / sqrt(E) with fixed-T minima, then minimizes the T-reduced
-    action over the nodes from the bracket's best ones (see the module
-    docstring). A result is converged when its interior-node energy agrees
-    with E; a cold one that misses is solved once more on 2 * n_segments.
+    A cold start brackets the optimal T with fixed-T minima around its
+    start path's own optimal duration sqrt(S / (P + E)), then minimizes the
+    T-reduced action over the nodes from the bracket's best ones (see the
+    module docstring). A result is converged when its interior-node energy
+    agrees with E; a cold one that misses is solved again on
+    2 * n_segments, and on 4 * n_segments if it still misses.
     A converged result may then be polished at its T (newton_rounds) and
     tested again. Near-coincident endpoints short-circuit to a degenerate
     result at the time floor.
@@ -672,11 +684,14 @@ def _free_time_single(
     if init_nodes is not None:
         nodes = _feasible_nodes(init_nodes, floor, bump_scale, rng)
     else:
-        t_guess = max(dist / math.sqrt(energy), 10.0 * settings.time_floor)
-        warm = straight_path(x, y, t_guess, n_segments).nodes
+        # the nodes of a straight path do not depend on its duration
+        warm = straight_path(x, y, 1.0, n_segments).nodes
         if attempt > 0:
             warm = _bumped_nodes(warm, 0.1 * dist / math.sqrt(2.0), rng)
         warm = _feasible_nodes(warm, floor, bump_scale, rng)
+        # centre the bracket on the start path's own T* = sqrt(S / (P + E))
+        t_start = _value_grad_parts(warm, None, energy, params)[4]
+        t_guess = max(t_start, 10.0 * settings.time_floor)
         bracket_tol = max(settings.grad_tol, _BRACKET_GRAD_TOL)
 
         def solve_at(total_time: float):
@@ -732,9 +747,12 @@ def _free_time_single(
 
     nodes, outcome, t_opt, status = reduced_solve(nodes)
     coarse_value = None
-    if status == "transversality-miss" and init_nodes is None:
-        # a cold miss is grid resolution: solve once more on twice the nodes
-        coarse_value = outcome.value
+    for _ in range(_MAX_REFINEMENTS if init_nodes is None else 0):
+        if status != "transversality-miss":
+            break
+        # a cold miss is grid resolution: solve again on twice the nodes
+        if coarse_value is None:
+            coarse_value = outcome.value
         fine = _feasible_nodes(DiscretePath(t_opt, nodes).refined().nodes, floor, bump_scale, rng)
         nodes, outcome, t_opt, status = reduced_solve(fine)
     if status == "converged" and newton_rounds > 0:

@@ -30,7 +30,7 @@ __all__ = [
 
 # Trajectory rows formatted per write; a fixed size keeps memory flat on
 # long paths.
-_CSV_BLOCK_ROWS = 2048
+_CSV_BLOCK_ROWS = 256
 
 
 def format_float(value: float) -> str:

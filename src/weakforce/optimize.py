@@ -24,14 +24,22 @@ __all__ = ["OptimizeOutcome", "lbfgs"]
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
 _CURVATURE_FLOOR = 1e-12
+# an accepted step shorter than this whose decrease is within a few
+# roundoffs of f is noise; two in a row end the search
+_NOISE_STEP = 2.0**-20
+_NOISE_DF = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class OptimizeOutcome:
     """Result of :func:`lbfgs`.
 
-    status is one of "converged", "max-iterations", "line-search-failure".
-    converged means the gradient test ||g|| <= grad_tol * (1 + |f|) passed.
+    status is one of "converged", "max-iterations", "line-search-failure",
+    "noise-floor". converged means the gradient test
+    ||g|| <= grad_tol * (1 + |f|) passed. noise-floor means two accepted
+    steps in a row were shorter than 2^-20 and changed f by at most
+    4 eps |f|: the Armijo decrease has sunk below the roundoff of f, and
+    more iterations would only trade noise.
     """
 
     x: np.ndarray
@@ -62,7 +70,8 @@ def lbfgs(
         max_iterations: Outer iteration cap.
         memory: Number of (s, y) correction pairs kept.
         apply_h0: Optional positive-definite preconditioner; applied where
-            the identity initial inverse Hessian would be.
+            the identity initial inverse Hessian would be. Its result is
+            scaled in place, so it must return a new array.
 
     Returns:
         An :class:`OptimizeOutcome`; the best iterate seen is returned even
@@ -88,6 +97,7 @@ def lbfgs(
     rho_list: list[float] = []
     status = "max-iterations"
     iterations = 0
+    noisy_steps = 0
 
     for iterations in range(1, max_iterations + 1):
         gnorm = float(np.linalg.norm(g))
@@ -108,11 +118,11 @@ def lbfgs(
             y_last = y_list[-1]
             denom = float(y_last @ precond(y_last))
             if denom > 0.0:
-                z = z * (float(s_list[-1] @ y_last) / denom)
+                z *= float(s_list[-1] @ y_last) / denom
         for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
             b = rho * float(y @ z)
             z += (a - b) * s
-        d = -z
+        d = np.negative(z, out=z)
         slope = float(g @ d)
         if slope >= 0.0:
             # corrections went bad; restart from the preconditioned gradient
@@ -147,7 +157,12 @@ def lbfgs(
                 s_list.pop(0)
                 y_list.pop(0)
                 rho_list.pop(0)
+        noise = t < _NOISE_STEP and abs(f_new - f) <= _NOISE_DF * abs(f)
+        noisy_steps = noisy_steps + 1 if noise else 0
         x, f, g = x_new, f_new, g_new
+        if noisy_steps == 2:
+            status = "noise-floor"
+            break
 
     gnorm = float(np.linalg.norm(g))
     if status != "converged" and gnorm <= grad_tol * (1.0 + abs(f)):

@@ -392,7 +392,7 @@ SEARCH_CASES = {
 
 @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
 def test_free_time_search_inner_solve_count(monkeypatch, case):
-    """The search over T is a bracket, then a secant: a dozen inner solves, not two dozen."""
+    """The search over T is a bracket, then one reduced solve: a dozen inner solves at most."""
     from weakforce import action
 
     p, x, y, energy, m = SEARCH_CASES[case]
@@ -512,6 +512,87 @@ def test_free_time_miss_is_solved_again_on_the_refined_grid():
     assert warm.path.n_segments == 10 and warm.coarse_value is None
     plain = minimize_free_time(x, y, energy, p, n_segments=20)
     assert plain.converged and plain.coarse_value is None
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+def test_cold_bracket_starts_at_half_the_start_paths_optimal_duration(monkeypatch, case):
+    """The walk solves at T0/2, T0 and 2 T0 first, T0 = sqrt(S / (P + E)) of the straight path."""
+    from weakforce import action
+
+    p, x, y, energy, m = SEARCH_CASES[case]
+    calls = []
+    inner = action._solve_interior
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(action, "_solve_interior", counted)
+    minimize_free_time(x, y, energy, p, n_segments=m)
+    unit = path_action(straight_path(x, y, 1.0, m), energy, p)
+    t0 = math.sqrt(unit.kinetic / (unit.potential + energy))
+    npt.assert_allclose(calls[:3], [0.5 * t0, t0, 2.0 * t0], rtol=1e-12)
+    # the free-particle guess ignores the potential and lies above T0
+    assert t0 < weighted_distance(x, y, p.masses) / math.sqrt(energy)
+
+
+def test_free_time_miss_is_refined_up_to_twice(monkeypatch):
+    """A cold miss at M and at 2M converges at 4M; coarse_value is the solve at M."""
+    from weakforce import action
+
+    p, x, y, energy, _ = SEARCH_CASES["three-body"]
+    reduced = []
+    inner = action._solve_interior
+
+    def counted(*args, **kwargs):
+        nodes, outcome = inner(*args, **kwargs)
+        if args[1] is None:
+            reduced.append((nodes.shape[0] - 1, outcome.value))
+        return nodes, outcome
+
+    monkeypatch.setattr(action, "_solve_interior", counted)
+    result = minimize_free_time(x, y, energy, p, n_segments=5)
+    assert result.converged
+    assert result.path.n_segments == 20
+    assert [m for m, _ in reduced] == [5, 10, 20]
+    assert result.coarse_value == reduced[0][1]
+    assert result.value == reduced[2][1]
+    # one grid short of it stays a miss, after the same two doublings
+    reduced.clear()
+    short = minimize_free_time(x, y, energy, p, n_segments=4)
+    assert short.status == "transversality-miss"
+    assert [m for m, _ in reduced] == [4, 8, 16]
+    assert short.coarse_value == reduced[0][1]
+    # a warm start that misses keeps its grid
+    reduced.clear()
+    warm = minimize_free_time(x, y, energy, p, n_segments=5, init_nodes=result.path.nodes[::4])
+    assert warm.status == "transversality-miss"
+    assert [m for m, _ in reduced] == [5]
+    assert warm.path.n_segments == 5 and warm.coarse_value is None
+
+
+def test_roundoff_stall_ends_at_the_noise_floor(monkeypatch):
+    """ROADMAP item 9's radial two-body pair: the refined solve's Armijo decrease sinks
+    below the roundoff of F, and L-BFGS stops there instead of at its iteration cap."""
+    from weakforce import optimize
+
+    p = PotentialParams(0.8, np.array([1.0, 1.0]))
+    u = np.array([0.6, 0.8])
+    x = np.array([-0.1 * u, 0.1 * u])
+    y = np.array([-1.5 * u, 1.5 * u])
+    outcomes = []
+    inner = optimize.lbfgs
+
+    def counted(*args, **kwargs):
+        outcomes.append(inner(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(optimize, "lbfgs", counted)
+    result = minimize_free_time(x, y, 1.0, p, n_segments=200)
+    assert result.status == "noise-floor" and not result.converged
+    assert outcomes[-1].status == "noise-floor"
+    assert not outcomes[-1].grad_norm <= 1e-8 * (1.0 + abs(outcomes[-1].value))
+    assert max(o.iterations for o in outcomes) < 100
 
 
 def test_result_el_residual_is_the_public_one():

@@ -65,6 +65,30 @@ def test_pair_terms_veto_and_batch():
         pair_terms(collided, p)
 
 
+def test_pair_terms_blocks_match_one_pass_bit_for_bit(monkeypatch):
+    from weakforce import dynamics
+
+    rng = np.random.default_rng(5)
+    p = PotentialParams(0.5, 10.0 ** rng.uniform(0.0, 0.5, 10))
+    nodes = 5.0 * rng.standard_normal((1000, 10, 2))
+    # 45 pairs, so blocks of 160 configurations: the last block of 1000 takes
+    # a 40-row tail, 900 ends in a block of 100, and 801 leaves no 1-row block
+    sizes = (1000, 900, 801)
+    blocked = [pair_terms(nodes[:m], p) for m in sizes]
+    blocked_u = pair_terms(nodes, p, gradient=False)[1]
+    monkeypatch.setattr(dynamics, "_PAIR_BLOCK", 10**9)
+    for m, (min_sq, u, grad) in zip(sizes, blocked):
+        one_pass = pair_terms(nodes[:m], p)
+        assert min_sq == one_pass[0]
+        npt.assert_array_equal(u, one_pass[1])
+        npt.assert_array_equal(grad, one_pass[2])
+    npt.assert_array_equal(blocked_u, pair_terms(nodes, p)[1])
+    # a veto in the last block stops the pass with nothing returned
+    monkeypatch.undo()
+    nodes[-1, 1] = nodes[-1, 0]
+    assert pair_terms(nodes, p, floor=1e-3)[1:] == (None, None)
+
+
 def test_potential_homogeneity():
     rng = np.random.default_rng(2)
     p = PotentialParams(0.7, np.array([1.0, 2.0, 3.0]))

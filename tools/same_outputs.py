@@ -40,6 +40,28 @@ _MASSES_10 = ",".join(f"1.{k}" for k in range(10))
 # each body ends one column over, the last of each row wrapping to its first
 _END_10_SHIFTED = ";".join(f"{2.0 * ((k + 1) % 5) + 3.0},{2.5 * (k // 5) + 8.0}" for k in range(10))
 
+# one input draw of a 10-body benchmark workload (unequal masses, alpha 0.5)
+# whose path misses the energy test at 200 and at 400 segments
+_START_10_DRAWN = (
+    "-1.3194522454195483,0.5082130279614888;-0.2553104460209076,1.2358044534839927;"
+    "-2.951620164816375,-0.49355965705888555;1.0404716170022255,2.573910917386421;"
+    "1.7898670277533886,1.683492096446902;-1.6411033520372662,-2.5230508823149695;"
+    "-1.7496478646009814,-0.8905228499704497;-0.4902806460187493,-2.4456326204292504;"
+    "0.14581153836205218,0.04948827020427804;0.3480342942636506,-1.6393680723315054"
+)
+_END_10_DRAWN = (
+    "3.5431494406502404,5.487460266886536;-1.728781042480574,11.13559517094789;"
+    "1.9856586975442108,6.279145156432945;-2.1972051928057192,5.906629397420155;"
+    "-0.42890698072424116,5.233739249583064;1.0195830573070181,8.799487523251;"
+    "3.475667593253913,8.384773190743694;1.9193214605409752,9.899184543458652;"
+    "3.8795659043134822,10.40239582049811;-0.09369118484207462,9.482634652692376"
+)
+_MASSES_10_DRAWN = (
+    "3.0320768150851576,1.8916408187970981,2.8086948620365595,1.8235716238828936,"
+    "2.319836878844465,1.4078871239519775,1.3286698623841755,2.7541455053245176,"
+    "1.5529605884856221,2.580350603019297"
+)
+
 # (name, argv); each call writes into its own directory.
 CALLS = [
     ("readme_simulate", ["simulate", "--alpha", "0.5", "--t-end", "62.8"]),
@@ -72,6 +94,14 @@ CALLS = [
         [
             "phi", f"--start={_START_10}", f"--end={_END_10_SHIFTED}", "--masses", _MASSES_10,
             "--energy", "1.0",
+        ],
+    ),
+    (
+        # the path is solved on 200, 400 and 800 segments
+        "phi_10_bodies_twice_refined",
+        [
+            "phi", f"--start={_START_10_DRAWN}", f"--end={_END_10_DRAWN}",
+            "--masses", _MASSES_10_DRAWN, "--alpha", "0.5", "--energy", "1.0",
         ],
     ),
     (
